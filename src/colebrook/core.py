@@ -11,6 +11,10 @@ valid for turbulent flow with Re in [4000, 1e8] and relative roughness
 eps/D in [0, 0.05]. The right-hand side is a contraction on that domain,
 so plain fixed-point iteration converges quickly; the converged iterate is
 the accuracy oracle every explicit approximation is judged against.
+
+The oracle has a vector form (``solve_colebrook_raw``) and a scalar form
+(``solve_colebrook_exact``). The scalar form runs the same recurrence on
+Python floats, with ``np.log10``, and equals the vector form bit for bit.
 """
 
 import math
@@ -223,6 +227,13 @@ def solve_colebrook_exact(
     Starts from the rational-polynomial estimate when the point is inside
     the validated domain, else from x0 = 8.
 
+    Runs the recurrence and stopping rule of ``solve_colebrook_raw`` on
+    Python floats instead of 0-d arrays. The map keeps ``np.log10``,
+    which rounds a float exactly as it rounds an array element, where
+    ``math.log10`` differs by an ulp on some arguments; the other
+    operations are the same IEEE ones in the same order. So x,
+    iterations and residual equal the vector solve's bit for bit.
+
     Args:
         point: flow conditions.
         tol: successive-iterate tolerance on x (default 1e-12).
@@ -239,23 +250,30 @@ def solve_colebrook_exact(
         raise DomainError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-    x0 = starter_eq2_raw(point.re, point.rel_rough) if point.in_domain else 8.0
-    x, iterations, residual, converged = solve_colebrook_raw(
-        point.re, point.rel_rough, x0, tol=tol, max_iter=max_iter
-    )
-    x_f = float(x)
-    iters = int(iterations)
-    res = float(residual)
-    if not bool(converged):
+    re, rel_rough = float(point.re), float(point.rel_rough)
+    x = float(starter_eq2_raw(re, rel_rough)) if point.in_domain else 8.0
+    iters = 0
+    res = math.inf
+    # a nan difference fails `res <= tol` and keeps iterating, as nan stays
+    # active in the vector mask
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for _ in range(max_iter):
+            x_next = float(colebrook_rhs_raw(re, rel_rough, x))
+            res = abs(x_next - x)
+            iters += 1
+            x = x_next
+            if res <= tol:
+                break
+    if not (res <= tol):
         raise ConvergenceError(
             f"no convergence at (re={point.re}, rel_rough={point.rel_rough}) "
             f"after {iters} iterations, residual {res:.3e}",
-            last_x=x_f,
+            last_x=x,
             iterations=iters,
             residual=res,
         )
     return SolveReport(
-        iterate=FrictionIterate(x_f, step=iters),
+        iterate=FrictionIterate(x, step=iters),
         iterations=iters,
         residual=res,
         converged=True,

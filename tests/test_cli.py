@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from colebrook import cli
+from colebrook import cli, core
 
 LAM_STAR_1E5 = 0.01851249948164709
 
@@ -65,6 +65,15 @@ class TestSolve:
         assert res["scheme"] == "colebrook"
         assert res["lambda"] == pytest.approx(LAM_STAR_1E5, rel=1e-10)
         assert res["rel_err_pct"] == 0.0
+
+    def test_reference_row_reports_vector_oracle(self, capsys):
+        rc, out, _ = run(capsys, "solve", "--re", "1e5", "--rough", "1e-4", "--json")
+        assert rc == 0
+        (res,) = json.loads(out)["results"]
+        x, its, _, conv = core.solve_colebrook_raw(1e5, 1e-4, core.oracle_start_raw(1e5, 1e-4))
+        assert conv
+        assert res["x"] == float(x)
+        assert res["steps"] == int(its)
 
     def test_multiple_schemes(self, capsys):
         rc, out, _ = run(capsys, "solve", "--re", "1e5", "--rough", "1e-4",
