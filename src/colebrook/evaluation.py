@@ -4,7 +4,9 @@ static cost profiles, and wall-time micro-benchmarks.
 
 Grid scans may be partitioned across workers; every point's computation
 is independent and the reduction is associativity-safe, so results are
-identical for any worker count.
+identical for any worker count. The mean error is the correctly rounded
+sum of the map divided by its size, the value ``math.fsum`` gives,
+computed with whole-array numpy operations (``exact_sum``).
 """
 
 import math
@@ -202,23 +204,109 @@ class ErrorStats:
     p99_pct: float
 
 
+# exact_sum keys each float64 by its sign and exponent field (4096
+# buckets) and rewrites that field to 0x3FF, which rescales the value to
+# +-[1, 2) exactly; zeros and subnormals (field 0) gain a spurious
+# leading 1, which is taken off afterwards by counting that bucket. The
+# rescaled value splits into a high part (low 26 mantissa bits cleared,
+# a multiple of 2**-26 below 2 in magnitude) and the remainder (a
+# multiple of 2**-52 below 2**-26), so every running bincount sum over
+# at most 2**26 terms stays on its grid below 2**53 steps: exact, and
+# far from overflow. The buckets are then pooled as Python integers in
+# units of 2**-1074 and rounded once.
+_SUM_SLICE = 1 << 26
+_EXP_FIELD = np.uint64(0x7FF << 52)
+_UNIT_FIELD = np.uint64(0x3FF << 52)
+_LOW_BITS = np.uint64((1 << 26) - 1)
+
+
+def _bucket_units(bits):
+    """Exact sum of the finite values in one slice of float64 bit
+    patterns, as an integer count of 2**-1074, and whether the slice
+    holds inf or nan."""
+    bucket = (bits >> 52).view(np.int64)
+    norm = bits & ~_EXP_FIELD
+    norm |= _UNIT_FIELD
+    hi = (norm & ~_LOW_BITS).view(np.float64)
+    lo = norm.view(np.float64)
+    lo -= hi
+    hi_sums = np.bincount(bucket, weights=hi, minlength=4096)
+    lo_sums = np.bincount(bucket, weights=lo, minlength=4096)
+    units = 0
+    nonfinite = False
+    # every high part is at least 1 in magnitude, so a bucket is
+    # non-empty exactly when its high sum is nonzero
+    for k in np.flatnonzero(hi_sums).tolist():
+        field = k & 0x7FF
+        if field == 0x7FF:  # inf or nan
+            nonfinite = True
+            continue
+        # the bucket's sum in units of 2**-52 on its [1, 2) scale
+        u = (int(hi_sums[k] * 2.0**26) << 26) + int(lo_sums[k] * 2.0**52)
+        if field == 0:
+            spurious = int(np.count_nonzero(bucket == k)) << 52
+            u += -spurious if k < 2048 else spurious
+        units += u << (max(field, 1) - 1)
+    return units, nonfinite
+
+
+def exact_sum(values) -> float:
+    """Correctly rounded sum of a float64 array with whole-array numpy
+    operations; equal to ``math.fsum(values.tolist())`` bit for bit.
+
+    inf and nan entries go through ``math.fsum`` with the finite total,
+    so an inf sum, a nan sum and the ``ValueError`` for inf + -inf are as
+    there. A finite sum that overflows raises ``OverflowError``. fsum
+    also raises when a running partial sum overflows; this checks only
+    the total, so a mixed-sign input whose total is finite returns it.
+    Arrays of 2**26 elements or more are summed in slices of that size.
+    """
+    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    bits = flat.view(np.uint64)
+    units = 0
+    nonfinite = False
+    for start in range(0, bits.size, _SUM_SLICE):
+        part, part_nonfinite = _bucket_units(bits[start:start + _SUM_SLICE])
+        units += part
+        nonfinite |= part_nonfinite
+    # integer true division is correctly rounded, and raises
+    # OverflowError past the float range
+    total = units / (1 << 1074)
+    if nonfinite:
+        total = math.fsum(flat[~np.isfinite(flat)].tolist() + [total])
+    return total
+
+
 def stats_of(errmap: ErrorMap) -> ErrorStats:
     """Summarize a map: max with lexicographic (re, rough) tie-break,
-    fsum mean, nearest-rank 99th percentile."""
+    mean, nearest-rank 99th percentile.
+
+    The mean is the correctly rounded sum of the errors divided by the
+    point count, the same value as ``math.fsum`` over the errors divided
+    by the count. An inf error gives inf max and mean.
+
+    Raises:
+        ConfigError: the map is empty or holds NaN errors.
+    """
     err = errmap.rel_err_pct
     n = err.size
     if n == 0:
         raise ConfigError("cannot summarize an empty map")
     max_pct = float(err.max())
+    if math.isnan(max_pct):
+        raise ConfigError(
+            f"cannot summarize a map with NaN errors: "
+            f"{np.count_nonzero(np.isnan(err))} of {n} points are NaN"
+        )
     ties = np.flatnonzero(err == max_pct)
     if ties.size > 1:
         order = np.lexsort((errmap.rel_rough[ties], errmap.re[ties]))
         i = int(ties[order[0]])
     else:
         i = int(ties[0])
-    mean_pct = math.fsum(err.tolist()) / n
+    mean_pct = exact_sum(err) / n
     rank = max(1, math.ceil(0.99 * n))  # nearest-rank definition
-    p99_pct = float(np.sort(err)[rank - 1])
+    p99_pct = float(np.partition(err, rank - 1)[rank - 1])
     return ErrorStats(
         max_pct=max_pct,
         argmax_re=float(errmap.re[i]),
@@ -236,6 +324,15 @@ def _scan_chunk(spec_list, re_c, rough_c, oracle_tol, constants):
         raise core.ConvergenceError(
             f"oracle did not converge at (re={re_c[j]}, rel_rough={rough_c[j]})",
             last_x=float(x_ref[j]),
+        )
+    # from eps/D = 3.71 up the fixed point is not positive; lambda =
+    # x**-2 of it is not a friction factor
+    nonphysical = np.flatnonzero(x_ref <= 0.0)
+    if nonphysical.size:
+        j = int(nonphysical[0])
+        raise core.DomainError(
+            f"oracle root x={x_ref[j]} is not positive at "
+            f"(re={re_c[j]}, rel_rough={rough_c[j]})"
         )
     lam_ref = x_ref ** -2.0
     per_scheme = []
@@ -259,13 +356,16 @@ def scan_many(
     grid = DEFAULT_GRID if grid is None else grid
     spec_list = [schemes.get_scheme(s) if isinstance(s, str) else s for s in scheme_ids]
     re_flat, rough_flat = _flat_mesh(grid)
-    chunks = np.array_split(np.arange(grid.size), min(workers, grid.size))
+    parts = min(workers, grid.size)
+    bounds = [grid.size * k // parts for k in range(parts + 1)]
+    chunks = list(zip(bounds[:-1], bounds[1:]))
 
-    def work(idx):
-        return _scan_chunk(spec_list, re_flat[idx], rough_flat[idx], oracle_tol, constants)
+    def work(chunk):
+        lo, hi = chunk
+        return _scan_chunk(spec_list, re_flat[lo:hi], rough_flat[lo:hi], oracle_tol, constants)
 
     if workers == 1:
-        results = [work(idx) for idx in chunks]
+        results = [work(chunk) for chunk in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, chunks))

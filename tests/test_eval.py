@@ -1,6 +1,7 @@
 """Mesh scans, quasi-random sampling, exports, and the cost model."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,6 +128,40 @@ class TestStats:
         st = evaluation.stats_of(self._map([0.3, 0.1, 0.2]))
         assert st.p99_pct == 0.3  # ceil(2.97) = 3rd of 3
 
+    def test_nan_errors_are_rejected_with_their_count(self):
+        with pytest.raises(evaluation.ConfigError, match="2 of 4 points are NaN"):
+            evaluation.stats_of(self._map([0.1, math.nan, 0.3, math.nan]))
+
+    def test_inf_error_gives_inf_max_and_mean(self):
+        st = evaluation.stats_of(self._map([0.1, math.inf, 0.3], re=[1e4, 1e5, 1e6]))
+        assert st.max_pct == st.mean_pct == math.inf
+        assert st.argmax_re == 1e5
+
+    def test_equal_to_fsum_and_sort_formulas_on_every_sweep_variant(self):
+        # the 18 registry schemes plus eq4a/eq5a/eq6a with each rational sine
+        specs = [schemes.get_scheme(sid) for sid in schemes.scheme_ids()]
+        for sid in ("eq4a", "eq5a", "eq6a"):
+            for kernel in ("pade", "quintic"):
+                specs.append(replace(
+                    schemes.get_scheme(sid), id=f"{sid}-sin{kernel}", sin_strategy=kernel
+                ))
+        res = evaluation.scan_many(specs, grid=evaluation.GridSpec(n_re=120, n_rough=120))
+        assert len(res) == 24
+        for sid, (em, st) in res.items():
+            err = em.rel_err_pct
+            n = err.size
+            max_pct = float(err.max())
+            ties = np.flatnonzero(err == max_pct)
+            i = ties[np.lexsort((em.rel_rough[ties], em.re[ties]))[0]]
+            rank = math.ceil(0.99 * n)
+            assert st == evaluation.ErrorStats(
+                max_pct=max_pct,
+                argmax_re=float(em.re[i]),
+                argmax_rough=float(em.rel_rough[i]),
+                mean_pct=math.fsum(err.tolist()) / n,
+                p99_pct=float(np.sort(err)[rank - 1]),
+            ), sid
+
 
 class TestScan:
     def test_matches_pointwise_evaluation(self):
@@ -156,6 +191,13 @@ class TestScan:
         em2, _ = res["eq2"]
         em21, _ = res["eq2a1"]
         assert np.array_equal(em2.lambda_ref, em21.lambda_ref)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_negative_oracle_root_is_a_domain_error(self, workers):
+        # once eps/D/3.71 exceeds 1 the oracle converges to a negative x
+        g = evaluation.GridSpec(n_re=5, n_rough=5, rough_max=10)
+        with pytest.raises(core.DomainError, match=r"not positive at \(re=4000.0, rel_rough=10.0\)"):
+            evaluation.scan_errors("eq2a2", grid=g, workers=workers)
 
     def test_scan_rejects_unknown_scheme(self):
         with pytest.raises(schemes.RegistryError):

@@ -1,0 +1,135 @@
+"""The exact array sum behind the mean error: equal to math.fsum bit for bit."""
+
+import math
+import struct
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from colebrook import evaluation
+
+pytest.importorskip("hypothesis", reason="hypothesis drives the property tests")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+MAX = 1.7976931348623157e308
+TINY = 5e-324
+SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+def _from_fields(sign, field, mantissa):
+    return struct.unpack("<d", struct.pack("<Q", sign << 63 | field << 52 | mantissa))[0]
+
+
+# finite float64 values with the exponent field drawn evenly over its whole
+# range, the subnormals, and the usual boundary values
+_ANY_EXPONENT = st.builds(
+    _from_fields, st.integers(0, 1), st.integers(0, 0x7FE), st.integers(0, 2**52 - 1)
+)
+_SUBNORMAL = st.builds(_from_fields, st.integers(0, 1), st.just(0), st.integers(0, 2**52 - 1))
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    _ANY_EXPONENT,
+    _SUBNORMAL,
+    st.sampled_from([0.0, -0.0, TINY, SMALLEST_NORMAL, MAX, 1.0, 1e16]),
+)
+
+
+@st.composite
+def _cancelling(draw):
+    """A list where some terms also appear negated, in shuffled order."""
+    xs = draw(st.lists(FINITE, min_size=1, max_size=40))
+    mirrored = draw(st.lists(st.sampled_from(xs), max_size=len(xs)))
+    return draw(st.permutations(xs + [-x for x in mirrored]))
+
+
+def _outcome(fn, arg):
+    """The result's exact bits, or the overflow."""
+    try:
+        return fn(arg).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+def _exact(xs):
+    return evaluation.exact_sum(np.array(xs, dtype=float))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.lists(FINITE, min_size=1, max_size=80), _cancelling()))
+@example([1e16, 1.0, -1e16])
+@example([TINY])
+@example([-TINY, SMALLEST_NORMAL])
+@example([-0.0])
+@example([0.0, -0.0, 0.0])
+@example([MAX, MAX])
+@example([MAX, 9.979201547673599e291])  # a tie at the top of the range rounds to inf
+@example([-8e307, -8e307, 1.7e308, 1e308])
+def test_equals_fsum(xs):
+    try:
+        want = math.fsum(xs).hex()
+    except OverflowError:
+        # fsum raises when any running partial sum overflows; exact_sum
+        # looks at the total only, so the correctly rounded total decides
+        want = _outcome(float, sum(map(Fraction, xs), Fraction(0)))
+    assert _outcome(_exact, xs) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FINITE.map(abs), min_size=1, max_size=80))
+@example([MAX, MAX])
+@example([MAX / 2, MAX / 2, 2.0**970])
+def test_nonnegative_sum_overflows_exactly_when_fsum_does(xs):
+    # error maps are non-negative: there no running sum exceeds the total
+    assert _outcome(_exact, xs) == _outcome(math.fsum, xs)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_large_arrays_spanning_the_exponent_range(seed):
+    rng = np.random.default_rng(seed)
+    n = 20_000
+    x = rng.standard_normal(n) * np.ldexp(1.0, rng.integers(-1074, 960, n))
+    x[: n // 4] = np.abs(x[: n // 4])  # many members per bucket and sign
+    x = np.concatenate([x, -x[::3], [1e16, 1.0, -1e16]])
+    assert evaluation.exact_sum(x).hex() == math.fsum(x.tolist()).hex()
+
+
+@pytest.mark.parametrize("xs", [
+    [math.inf, 1.0],
+    [2.0, -math.inf],
+    [math.inf, math.inf, -3.0],
+    [math.nan, 1.0],
+    [math.inf, math.nan],
+])
+def test_nonfinite_entries_sum_as_in_fsum(xs):
+    got, want = _exact(xs), math.fsum(xs)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+@pytest.mark.parametrize("xs,error", [
+    ([math.inf, -math.inf, 1.0], ValueError),
+    ([math.inf, MAX, MAX], OverflowError),
+])
+def test_nonfinite_entries_raise_as_in_fsum(xs, error):
+    with pytest.raises(error):
+        math.fsum(xs)
+    with pytest.raises(error):
+        _exact(xs)
+
+
+def test_slices_are_pooled_exactly(monkeypatch):
+    # arrays of 2**26 elements or more are summed in slices; a small slice
+    # exercises the pooling without a 512 MB input
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(1000) * np.ldexp(1.0, rng.integers(-1074, 900, 1000))
+    x = np.concatenate([x, -x[::2], [TINY, -0.0, 1e16, 1.0, -1e16, math.inf]])
+    want = math.fsum(x.tolist())
+    monkeypatch.setattr(evaluation, "_SUM_SLICE", 7)
+    assert evaluation.exact_sum(x) == want
+    assert evaluation.exact_sum(x[:-1]).hex() == math.fsum(x[:-1].tolist()).hex()
+
+
+def test_accepts_any_layout():
+    x = np.arange(12.0).reshape(3, 4) * 0.1
+    assert evaluation.exact_sum(x.T) == math.fsum(x.ravel().tolist())
+    assert evaluation.exact_sum([0.1, 0.2, 0.3]) == math.fsum([0.1, 0.2, 0.3])
