@@ -24,7 +24,6 @@ from .evaluation import (
     ErrorStats,
     GridSpec,
     benchmark,
-    build_grid,
     export_csv,
     export_heatmap,
     load_csv,
@@ -41,12 +40,9 @@ from .schemes import (
     RegistryError,
     SchemeError,
     SchemeSpec,
-    accelerate,
-    accelerate_transformed,
     evaluate_scheme,
     get_scheme,
     scheme_ids,
-    theta,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +63,6 @@ __all__ = [
     "ErrorStats",
     "GridSpec",
     "benchmark",
-    "build_grid",
     "export_csv",
     "export_heatmap",
     "load_csv",
@@ -84,11 +79,8 @@ __all__ = [
     "RegistryError",
     "SchemeError",
     "SchemeSpec",
-    "accelerate",
-    "accelerate_transformed",
     "evaluate_scheme",
     "get_scheme",
     "scheme_ids",
-    "theta",
     "__version__",
 ]

@@ -7,7 +7,6 @@ supply defaults; explicit flags always win.
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -21,21 +20,6 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_IO = 4
-
-_SETTING_TYPES = {
-    "re_min": float,
-    "re_max": float,
-    "rough_min": float,
-    "rough_max": float,
-    "n_re": int,
-    "n_rough": int,
-    "re_spacing": str,
-    "rough_spacing": str,
-    "oracle_tol": float,
-    "sin_strategy": str,
-    "constants": str,
-    "out_dir": str,
-}
 
 DEFAULT_SETTINGS = {
     "re_min": 4000.0,
@@ -76,10 +60,10 @@ def load_config(path) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _SETTING_TYPES:
+            if key not in DEFAULT_SETTINGS:
                 raise evaluation.ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                settings[key] = _SETTING_TYPES[key](value)
+                settings[key] = type(DEFAULT_SETTINGS[key])(value)
             except ValueError:
                 raise evaluation.ConfigError(
                     f"{path}:{lineno}: bad value {value!r} for {key}"
@@ -124,7 +108,7 @@ def _out_path(settings, path):
 
 def _apply_sin(spec, sin_strategy):
     # the flag only matters for sine-bearing starters
-    if sin_strategy != "exact" and spec.starter in schemes.SIN_ARG_COEF:
+    if sin_strategy != "exact" and spec.starter in schemes.SINE_STARTERS:
         return replace(spec, id=spec.id, sin_strategy=sin_strategy)
     return spec
 
@@ -255,13 +239,7 @@ def _cmd_table1(args, settings):
     if args.json:
         print(json.dumps({"rows": rows}))
         return EXIT_OK
-    lines = [f"{'scheme':<12}{'logs':>5}{'measured max %':>16}{'published %':>13}"]
-    for r in rows:
-        lines.append(
-            f"{r['scheme']:<12}{r['n_log']:>5}"
-            f"{r['measured_max_pct']:>16.4f}{r['published_max_pct']:>13g}"
-        )
-    print("\n".join(lines))
+    print(evaluation.table1_text(rows))
     return EXIT_OK
 
 

@@ -180,7 +180,7 @@ def colebrook_rhs(point: FlowPoint, x: float) -> float:
     arg = 2.51 * x / point.re + point.rel_rough / 3.71
     if not (arg > 0.0):
         raise DomainError(f"logarithm argument {arg} is not positive")
-    return -2.0 * math.log10(arg)
+    return float(colebrook_rhs_raw(point.re, point.rel_rough, x))
 
 
 def solve_colebrook_raw(re, rel_rough, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
@@ -283,6 +283,9 @@ def solve_colebrook_exact(
 def normalize(point: FlowPoint) -> NormalizedPoint:
     """Map a flow point to (a, b) = (log10(Re), -log10(eps/D)).
 
+    Uses ``np.log10``, so a and b are the values the scheme recipes
+    compute from the same point.
+
     Raises:
         DomainError: rel_rough below the practical smooth floor; the
             normalization is undefined for the smooth limit.
@@ -292,7 +295,7 @@ def normalize(point: FlowPoint) -> NormalizedPoint:
             f"normalization undefined for smooth limit: rel_rough={point.rel_rough} "
             f"is below the floor {MIN_NORMALIZED_ROUGH}"
         )
-    return NormalizedPoint(math.log10(point.re), -math.log10(point.rel_rough))
+    return NormalizedPoint(float(np.log10(point.re)), float(-np.log10(point.rel_rough)))
 
 
 def relative_error_pct_raw(lambda_accurate, lambda_approx):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import core, kernels, schemes
+from . import core, schemes
 
 
 class ConfigError(ValueError):
@@ -90,19 +90,6 @@ def _flat_mesh(spec: GridSpec):
     re_axis, rough_axis = grid_axes(spec)
     rough_m, re_m = np.meshgrid(rough_axis, re_axis, indexing="ij")
     return re_m.ravel(), rough_m.ravel()
-
-
-def build_grid(spec: GridSpec = DEFAULT_GRID):
-    """The mesh as an ordered FlowPoint list, rough-major.
-
-    Row order matches the CSV export: for each roughness (ascending), all
-    Reynolds numbers ascending.
-    """
-    re_flat, rough_flat = _flat_mesh(spec)
-    return [
-        core.FlowPoint(r, s, out_of_domain_ok=True)
-        for r, s in zip(re_flat.tolist(), rough_flat.tolist())
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +357,13 @@ def scan_many(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, chunks))
 
-    lam_ref = np.concatenate([r[0] for r in results])
+    # one chunk's arrays are the result as they are; copy only to join
+    join = np.concatenate if len(results) > 1 else (lambda parts: parts[0])
+    lam_ref = join([r[0] for r in results])
     out = {}
     for k, spec in enumerate(spec_list):
-        lam_a = np.concatenate([r[1][k][0] for r in results])
-        err = np.concatenate([r[1][k][1] for r in results])
+        lam_a = join([r[1][k][0] for r in results])
+        err = join([r[1][k][1] for r in results])
         nfb = sum(r[1][k][2] for r in results)
         errmap = ErrorMap(
             grid=grid,
@@ -402,29 +391,6 @@ def scan_errors(
         [scheme_id], grid=grid, oracle_tol=oracle_tol, workers=workers,
         constants=constants,
     )[key]
-
-
-def sine_window_audit(scheme_id, grid=None):
-    """Range of the starter's sine argument over a mesh versus the kernel
-    accuracy window; reports how many points would fall back."""
-    spec = schemes.get_scheme(scheme_id) if isinstance(scheme_id, str) else scheme_id
-    if spec.starter not in schemes.SIN_ARG_COEF:
-        raise schemes.SchemeError(f"starter {spec.starter} has no sine term")
-    grid = DEFAULT_GRID if grid is None else grid
-    re_flat, rough_flat = _flat_mesh(grid)
-    if np.any(rough_flat < core.MIN_NORMALIZED_ROUGH):
-        raise core.DomainError("sine audit needs rel_rough above the smooth floor")
-    arg = schemes.SIN_ARG_COEF[spec.starter] * np.log10(re_flat) + np.log10(rough_flat)
-    ok = kernels.in_sin_window(arg)
-    return {
-        "scheme": spec.id,
-        "starter": spec.starter,
-        "arg_min": float(arg.min()),
-        "arg_max": float(arg.max()),
-        "window": kernels.SIN_WINDOW,
-        "outside_window": int(arg.size - np.count_nonzero(ok)),
-        "total": int(arg.size),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +504,8 @@ def table1_rows(grid=None, oracle_tol=core.DEFAULT_TOL, workers=1):
     return rows
 
 
-def table1_report(grid=None, oracle_tol=core.DEFAULT_TOL, workers=1) -> str:
-    """The eight-row accuracy-vs-complexity table as aligned text."""
-    rows = table1_rows(grid=grid, oracle_tol=oracle_tol, workers=workers)
+def table1_text(rows) -> str:
+    """Rows of ``table1_rows`` as aligned text under a header line."""
     lines = [f"{'scheme':<12}{'logs':>5}{'measured max %':>16}{'published %':>13}"]
     for r in rows:
         lines.append(
@@ -548,6 +513,11 @@ def table1_report(grid=None, oracle_tol=core.DEFAULT_TOL, workers=1) -> str:
             f"{r['measured_max_pct']:>16.4f}{r['published_max_pct']:>13g}"
         )
     return "\n".join(lines)
+
+
+def table1_report(grid=None, oracle_tol=core.DEFAULT_TOL, workers=1) -> str:
+    """The eight-row accuracy-vs-complexity table as aligned text."""
+    return table1_text(table1_rows(grid=grid, oracle_tol=oracle_tol, workers=workers))
 
 
 # ---------------------------------------------------------------------------

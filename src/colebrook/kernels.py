@@ -1,17 +1,16 @@
 """Rational replacements for transcendental calls: a Pade logarithm, the
 one-log second acceleration built on it, and two sine approximants.
 
-All kernels are polymorphic over floats and numpy arrays. The sine
-approximants carry an accuracy contract only on the window
+All kernels are polymorphic over floats and numpy arrays, and each has
+that one form: the schemes run the same kernel on a point and on a mesh.
+The sine approximants carry an accuracy contract only on the window
 (-0.08821, 1.18456); outside it they still return a value, and callers
 get the window flag to decide on fallback.
 """
 
-import math
-
 import numpy as np
 
-from .core import DomainError, FlowPoint, FrictionIterate
+from .core import DomainError
 
 # full machine precision, not a truncated print
 LN10 = 2.302585092994046
@@ -59,15 +58,18 @@ def pade_sin(x):
 def quintic_sin(x):
     """Quintic polynomial sine approximant.
 
-    sin(x) ~= x - x^2/5350.6747 - x^3/6.0171 + x^5/127.4678, evaluated
-    exactly as published. The x^2 term makes it slightly non-odd; that is
-    preserved, not repaired.
+    sin(x) ~= x - x^2/5350.6747 - x^3/6.0171 + x^5/127.4678 with the
+    published coefficients; the powers are written as products, which
+    round the same on a float as inside an array (``**`` does not). The
+    x^2 term makes it slightly non-odd; that is preserved, not repaired.
 
     Published window figure: 0.003% relative error on SIN_WINDOW, a
     strict bound; the exact window maximum is 0.0025056%, at the open
     upper end.
     """
-    return x - x * x / 5350.6747 - x ** 3 / 6.0171 + x ** 5 / 127.4678
+    x2 = x * x
+    x3 = x2 * x
+    return x - x2 / 5350.6747 - x3 / 6.0171 + x3 * x2 / 127.4678
 
 
 def in_sin_window(x):
@@ -94,14 +96,15 @@ def sin_kernel(x, strategy):
 
 
 def one_log_second_iteration_raw(re, rel_rough, x0):
-    """Two acceleration steps with a single real logarithm; vectorized.
+    """Two acceleration steps with a single real logarithm, on floats or
+    arrays.
 
     First step: y1 = 2.51*x0/Re + (eps/D)/3.71, x1 = -2*log10(y1), the one
     real logarithm. Second step: y2 from x1, z = y1/y2 (very close to 1),
     and log10(y2) = log10(y1) - pade_ln(z)/ln(10).
 
     Returns:
-        (x2, z) arrays.
+        (x2, z), shaped like the inputs.
     """
     y1 = 2.51 * x0 / re + rel_rough / 3.71
     log10_y1 = np.log10(y1)
@@ -110,24 +113,3 @@ def one_log_second_iteration_raw(re, rel_rough, x0):
     z = y1 / y2
     log10_y2 = log10_y1 - pade_ln(z) / LN10
     return -2.0 * log10_y2, z
-
-
-def one_log_second_iteration(point: FlowPoint, x0: float) -> FrictionIterate:
-    """Scalar one-log double acceleration; returns the step-2 iterate.
-
-    Raises:
-        DomainError: x0 not positive, or a logarithm argument <= 0.
-    """
-    if not (math.isfinite(x0) and x0 > 0.0):
-        raise DomainError(f"x0 must be positive and finite, got {x0}")
-    y1 = 2.51 * x0 / point.re + point.rel_rough / 3.71
-    if not (y1 > 0.0):
-        raise DomainError(f"first logarithm argument {y1} is not positive")
-    log10_y1 = math.log10(y1)
-    x1 = -2.0 * log10_y1
-    y2 = 2.51 * x1 / point.re + point.rel_rough / 3.71
-    if not (y2 > 0.0):
-        raise DomainError(f"second logarithm argument {y2} is not positive")
-    z = y1 / y2
-    log10_y2 = log10_y1 - pade_ln(z) / LN10
-    return FrictionIterate(-2.0 * log10_y2, step=2)

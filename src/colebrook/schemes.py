@@ -1,11 +1,16 @@
 """Explicit starters for the friction equation, the fixed-point
-acceleration operator, its transformed variant, and a registry that
+acceleration in direct and transformed form, and a registry that
 composes them into named schemes.
 
 Scheme naming: ``eqN`` is a bare starter, ``eqNa``/``eqNa1`` one
 acceleration step, ``eqNa2`` two steps, suffix ``-pade`` the one-log
 second iteration, suffix ``-t`` the transformed accelerator. All
 coefficients are kept exactly as published.
+
+Each scheme has one implementation, ``_recipe``: plain arithmetic that
+runs unchanged on Python floats and on numpy arrays. ``evaluate_scheme``
+(one point) and ``evaluate_scheme_raw`` (arrays) only validate around
+it, so the two agree bit for bit.
 """
 
 import math
@@ -20,10 +25,7 @@ from .core import (
     DomainError,
     FlowPoint,
     FrictionIterate,
-    NormalizedPoint,
-    colebrook_rhs,
     colebrook_rhs_raw,
-    normalize,
     starter_eq2_raw,
 )
 
@@ -34,14 +36,6 @@ class SchemeError(ValueError):
 
 class RegistryError(SchemeError):
     """Scheme id not present in the registry."""
-
-
-@dataclass(frozen=True, slots=True)
-class Theta:
-    """The theta of the transformed acceleration; negative for all
-    in-domain points with positive roughness."""
-
-    theta: float
 
 
 # published truncated constants of the transformed step; full-precision
@@ -58,12 +52,8 @@ def transformed_constants(mode: str) -> tuple:
     raise SchemeError(f"constants mode must be 'published' or 'exact', got {mode!r}")
 
 
-# sine argument is coef*a - b; coefficient differs per starter
-SIN_ARG_COEF = {"eq4": 0.937, "eq5": 0.935, "eq6": 0.939}
-
-
 def _make_sine(strategy):
-    """Build a sine callable for a strategy plus a fallback counter.
+    """Build an array sine callable for a strategy plus a fallback counter.
 
     Kernel strategies evaluate the rational/polynomial approximant inside
     the accuracy window and fall back to the exact sine outside it; the
@@ -82,6 +72,20 @@ def _make_sine(strategy):
         return value
 
     return sine, lambda: sum(fallbacks)
+
+
+def _point_sine(strategy):
+    """The sine of one float: the kernel value inside the window, the
+    exact sine outside it, as ``_make_sine`` picks per element."""
+
+    def sine(arg):
+        value, ok = kernels.sin_kernel(arg, strategy)
+        return value if ok else np.sin(arg)
+
+    return sine
+
+
+_POINT_SINES = {"exact": np.sin, "pade": _point_sine("pade"), "quintic": _point_sine("quintic")}
 
 
 # ---------------------------------------------------------------------------
@@ -113,107 +117,16 @@ def starter_eq6_raw(a, b, sin=np.sin):
     )
 
 
-# ---------------------------------------------------------------------------
-# typed starters
-# ---------------------------------------------------------------------------
-
-def starter_eq2(point: FlowPoint) -> FrictionIterate:
-    """Raw-input rational-polynomial starter; no logarithms at all.
-
-    Legal on the smooth limit rel_rough = 0.
-    """
-    return FrictionIterate(float(starter_eq2_raw(point.re, point.rel_rough)), step=0)
-
-
-def starter_eq3(norm: NormalizedPoint) -> FrictionIterate:
-    """Two-term normalized starter x0 = 3.13*b - 1.56*b^2/a."""
-    if not (norm.a > 0.0):
-        raise DomainError(f"starter requires a > 0, got a={norm.a}")
-    return FrictionIterate(float(starter_eq3_raw(norm.a, norm.b)), step=0)
-
-
-def starter_eq4(norm: NormalizedPoint, sin_strategy: str = "exact") -> FrictionIterate:
-    """Normalized starter with one sine term."""
-    sine, _ = _make_sine(sin_strategy)
-    return FrictionIterate(float(starter_eq4_raw(norm.a, norm.b, sin=sine)), step=0)
-
-
-def starter_eq5(norm: NormalizedPoint, sin_strategy: str = "exact") -> FrictionIterate:
-    """Normalized quadratic starter with one sine term."""
-    sine, _ = _make_sine(sin_strategy)
-    return FrictionIterate(float(starter_eq5_raw(norm.a, norm.b, sin=sine)), step=0)
-
-
-def starter_eq6(norm: NormalizedPoint, sin_strategy: str = "exact") -> FrictionIterate:
-    """Normalized quadratic starter with sine and sine-squared terms,
-    still only one sine evaluation."""
-    sine, _ = _make_sine(sin_strategy)
-    return FrictionIterate(float(starter_eq6_raw(norm.a, norm.b, sin=sine)), step=0)
-
-
-def sine_argument(starter: str, norm: NormalizedPoint) -> float:
-    """The sine argument coef*a - b of a sine-bearing starter, for
-    kernel-window audits."""
-    try:
-        coef = SIN_ARG_COEF[starter]
-    except KeyError:
-        raise SchemeError(f"starter {starter!r} has no sine term") from None
-    return coef * norm.a - norm.b
-
-
-# ---------------------------------------------------------------------------
-# acceleration operators
-# ---------------------------------------------------------------------------
-
-def accelerate(point: FlowPoint, it: FrictionIterate) -> FrictionIterate:
-    """One fixed-point application of the implicit-equation map.
-
-    This is the same map as core.colebrook_rhs (single shared
-    implementation); each application adds one logarithm and roughly an
-    order of magnitude of accuracy.
-    """
-    return FrictionIterate(colebrook_rhs(point, it.x), step=it.step + 1)
-
-
-def theta(point: FlowPoint, x: float) -> Theta:
-    """theta = -2.51*3.71*x / ((eps/D)*Re); strictly negative.
-
-    Raises:
-        DomainError: rel_rough = 0 (the transformed form does not exist
-            on the smooth limit) or x <= 0.
-    """
-    if point.rel_rough <= 0.0:
-        raise DomainError("theta undefined for rel_rough = 0")
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"x must be positive and finite, got {x}")
-    return Theta(-2.51 * 3.71 * x / (point.rel_rough * point.re))
+_SINE_STARTER_FNS = {"eq4": starter_eq4_raw, "eq5": starter_eq5_raw, "eq6": starter_eq6_raw}
+# the starters with a sine term; only these take a kernel sine strategy
+SINE_STARTERS = tuple(_SINE_STARTER_FNS)
 
 
 def theta_raw(re, rel_rough, x):
-    """Vectorized theta; no validation."""
+    """theta = -2.51*3.71*x / ((eps/D)*Re) of the transformed step;
+    negative for every in-domain point with positive roughness. No
+    validation."""
     return -2.51 * 3.71 * x / (rel_rough * re)
-
-
-def accelerate_transformed(
-    point: FlowPoint, it: FrictionIterate, constants: str = "published"
-) -> FrictionIterate:
-    """One acceleration step in the transformed form
-    x = 2*log10(3.71) + 2*b - (2/ln 10)*ln(1 - theta).
-
-    Algebraically identical to the direct map for rel_rough > 0; with the
-    published truncated constants (the default) it differs from the
-    direct step by up to about 2e-5 relative, dominated by the 4-digit
-    constant 0.8686.
-
-    Raises:
-        DomainError: rel_rough = 0.
-    """
-    if point.rel_rough <= 0.0:
-        raise DomainError("transformed acceleration undefined for rel_rough = 0")
-    c1, c2 = transformed_constants(constants)
-    b = -math.log10(point.rel_rough)
-    th = theta(point, it.x).theta
-    return FrictionIterate(c1 + 2.0 * b - c2 * math.log(1.0 - th), step=it.step + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +170,7 @@ class SchemeSpec:
             raise SchemeError(
                 "pade-one-log requires accel_steps = 2 and the direct form"
             )
-        if self.starter in ("eq2", "eq3") and self.sin_strategy != "exact":
+        if self.starter not in SINE_STARTERS and self.sin_strategy != "exact":
             raise SchemeError(
                 f"starter {self.starter} contains no sine; sin_strategy must be exact"
             )
@@ -312,16 +225,43 @@ def get_scheme(scheme_id: str) -> SchemeSpec:
         ) from None
 
 
-_TYPED_STARTERS = {
-    "eq3": starter_eq3,
-    "eq4": starter_eq4,
-    "eq5": starter_eq5,
-    "eq6": starter_eq6,
-}
+def _recipe(spec, re, rel_rough, sine, constants):
+    """The scheme's arithmetic: normalization, starter, then the
+    acceleration steps or the one-log step.
+
+    Runs unchanged on Python floats and on numpy arrays, and does no
+    validation; the callers check the inputs and pass the sine.
+    b = -log10(eps/D) is computed once and reused by transformed steps.
+    """
+    b = None
+    if spec.starter == "eq2":
+        x = starter_eq2_raw(re, rel_rough)
+    else:
+        a = np.log10(re)
+        b = -np.log10(rel_rough)
+        if spec.starter == "eq3":
+            x = starter_eq3_raw(a, b)
+        else:
+            x = _SINE_STARTER_FNS[spec.starter](a, b, sin=sine)
+    if spec.log_strategy == "pade-one-log":
+        return kernels.one_log_second_iteration_raw(re, rel_rough, x)[0]
+    if spec.accel_steps and spec.accel_form == "transformed":
+        c1, c2 = transformed_constants(constants)
+        if b is None:
+            b = -np.log10(rel_rough)
+        for _ in range(spec.accel_steps):
+            x = c1 + 2.0 * b - c2 * np.log(1.0 - theta_raw(re, rel_rough, x))
+    else:
+        for _ in range(spec.accel_steps):
+            x = colebrook_rhs_raw(re, rel_rough, x)
+    return x
 
 
 def evaluate_scheme(spec, point: FlowPoint, constants: str = "published") -> FrictionIterate:
     """Run a scheme at one point: starter, then acceleration steps.
+
+    Runs the recipe of ``evaluate_scheme_raw`` on Python floats, so the
+    result equals the vector path's bit for bit.
 
     Args:
         spec: a SchemeSpec or a registered scheme id.
@@ -330,26 +270,27 @@ def evaluate_scheme(spec, point: FlowPoint, constants: str = "published") -> Fri
 
     Returns:
         The final iterate; its step equals the scheme's accel_steps.
+
+    Raises:
+        DomainError: rel_rough below the smooth floor for a normalized
+            starter, Re <= 1 for eq3 (a = log10 Re must be positive),
+            rel_rough = 0 for a transformed step, or a result that is
+            not positive and finite.
     """
     if isinstance(spec, str):
         spec = get_scheme(spec)
-    if spec.starter == "eq2":
-        it = starter_eq2(point)
-    else:
-        norm = normalize(point)
-        fn = _TYPED_STARTERS[spec.starter]
-        if spec.starter == "eq3":
-            it = fn(norm)
-        else:
-            it = fn(norm, sin_strategy=spec.sin_strategy)
-    if spec.log_strategy == "pade-one-log":
-        return kernels.one_log_second_iteration(point, it.x)
-    for _ in range(spec.accel_steps):
-        if spec.accel_form == "direct":
-            it = accelerate(point, it)
-        else:
-            it = accelerate_transformed(point, it, constants=constants)
-    return it
+    re, rel_rough = float(point.re), float(point.rel_rough)
+    if spec.starter != "eq2" and rel_rough < MIN_NORMALIZED_ROUGH:
+        raise DomainError(
+            f"normalized starters require rel_rough >= {MIN_NORMALIZED_ROUGH}, "
+            f"got {rel_rough}"
+        )
+    if spec.starter == "eq3" and not re > 1.0:
+        raise DomainError(f"starter eq3 requires a = log10(Re) > 0, got re={re}")
+    if spec.accel_steps and spec.accel_form == "transformed" and not rel_rough > 0.0:
+        raise DomainError("transformed acceleration undefined for rel_rough = 0")
+    x = _recipe(spec, re, rel_rough, _POINT_SINES[spec.sin_strategy], constants)
+    return FrictionIterate(float(x), step=spec.accel_steps)
 
 
 def evaluate_scheme_raw(spec, re, rel_rough, constants: str = "published"):
@@ -364,34 +305,12 @@ def evaluate_scheme_raw(spec, re, rel_rough, constants: str = "published"):
         spec = get_scheme(spec)
     re = np.asarray(re, dtype=float)
     rel_rough = np.asarray(rel_rough, dtype=float)
-    count = lambda: 0
-    if spec.starter == "eq2":
-        x = starter_eq2_raw(re, rel_rough)
-    else:
-        if np.any(rel_rough < MIN_NORMALIZED_ROUGH):
-            raise DomainError(
-                "normalized starters require rel_rough >= "
-                f"{MIN_NORMALIZED_ROUGH} everywhere"
-            )
-        a = np.log10(re)
-        b = -np.log10(rel_rough)
-        if spec.starter == "eq3":
-            x = starter_eq3_raw(a, b)
-        else:
-            sine, count = _make_sine(spec.sin_strategy)
-            raw = {"eq4": starter_eq4_raw, "eq5": starter_eq5_raw, "eq6": starter_eq6_raw}
-            x = raw[spec.starter](a, b, sin=sine)
-    if spec.log_strategy == "pade-one-log":
-        x, _ = kernels.one_log_second_iteration_raw(re, rel_rough, x)
-        return x, count()
-    if spec.accel_steps and spec.accel_form == "transformed":
-        if np.any(rel_rough <= 0.0):
-            raise DomainError("transformed acceleration undefined for rel_rough = 0")
-        c1, c2 = transformed_constants(constants)
-        b = -np.log10(rel_rough)
-        for _ in range(spec.accel_steps):
-            x = c1 + 2.0 * b - c2 * np.log(1.0 - theta_raw(re, rel_rough, x))
-    else:
-        for _ in range(spec.accel_steps):
-            x = colebrook_rhs_raw(re, rel_rough, x)
-    return x, count()
+    if spec.starter != "eq2" and np.any(rel_rough < MIN_NORMALIZED_ROUGH):
+        raise DomainError(
+            "normalized starters require rel_rough >= "
+            f"{MIN_NORMALIZED_ROUGH} everywhere"
+        )
+    if spec.accel_steps and spec.accel_form == "transformed" and np.any(rel_rough <= 0.0):
+        raise DomainError("transformed acceleration undefined for rel_rough = 0")
+    sine, count = _make_sine(spec.sin_strategy)
+    return _recipe(spec, re, rel_rough, sine, constants), count()

@@ -51,14 +51,14 @@ class TestGridSpec:
         re_axis, _ = evaluation.grid_axes(g)
         assert list(re_axis) == [1e4, 1.5e4, 2e4]
 
-    def test_build_grid_is_rough_major(self):
+    def test_scan_map_is_rough_major(self):
         g = evaluation.GridSpec(n_re=3, n_rough=2)
-        pts = evaluation.build_grid(g)
-        assert len(pts) == 6
+        em, _ = evaluation.scan_errors("eq2", grid=g)
+        assert em.re.size == em.rel_rough.size == 6
         # roughness varies slowest
-        assert [p.rel_rough for p in pts[:3]] == [1e-6] * 3
-        assert [p.rel_rough for p in pts[3:]] == [0.05] * 3
-        assert pts[0].re == 4000.0 and pts[2].re == 1e8
+        assert em.rel_rough.tolist() == [1e-6] * 3 + [0.05] * 3
+        assert em.re.tolist()[:3] == em.re.tolist()[3:]
+        assert em.re[0] == 4000.0 and em.re[2] == 1e8
 
 
 class TestSobol:
@@ -167,10 +167,8 @@ class TestScan:
     def test_matches_pointwise_evaluation(self):
         g = evaluation.GridSpec(n_re=5, n_rough=4)
         errmap, _ = evaluation.scan_errors("eq2a2", grid=g)
-        pts = evaluation.build_grid(g)
         for idx in (0, 7, 19):
-            p = pts[idx]
-            assert errmap.re[idx] == p.re
+            p = core.FlowPoint(float(errmap.re[idx]), float(errmap.rel_rough[idx]))
             it = schemes.evaluate_scheme("eq2a2", p)
             assert errmap.lambda_approx[idx] == pytest.approx(it.lam, rel=1e-15)
             lam_ref = core.solve_colebrook_exact(p).iterate.lam
@@ -214,17 +212,10 @@ class TestScan:
         spec = schemes.SchemeSpec(id="w", starter="eq6", accel_steps=1,
                                   sin_strategy="quintic")
         em, _ = evaluation.scan_errors(spec, grid=SMALL)
-        audit = evaluation.sine_window_audit("eq6a", SMALL)
-        assert em.sine_fallbacks == audit["outside_window"] > 0
-
-    def test_window_audit_fields(self):
-        audit = evaluation.sine_window_audit("eq6a", SMALL)
-        assert audit["window"] == (-0.08821, 1.18456)
-        assert audit["total"] == SMALL.size
-        assert audit["starter"] == "eq6"
-        # the argument box over this domain is known
-        assert audit["arg_min"] == pytest.approx(0.939 * math.log10(4000.0) - 6.0, rel=1e-12)
-        assert audit["arg_max"] == pytest.approx(0.939 * 8.0 + math.log10(0.05), rel=1e-12)
+        # the eq6 sine argument 0.939*a - b outside the open window
+        arg = 0.939 * np.log10(em.re) + np.log10(em.rel_rough)
+        outside = np.count_nonzero((arg <= -0.08821) | (arg >= 1.18456))
+        assert em.sine_fallbacks == outside > 0
 
 
 class TestExports:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from colebrook import core, kernels
+from colebrook import core, kernels, schemes
 
 # [3/3] rational values at simple arguments reduce to exact fractions
 PADE_LN_2 = 131.0 / 189.0
@@ -65,6 +65,12 @@ class TestSineKernels:
         assert kernels.quintic_sin(1.0) == pytest.approx(QUINTIC_SIN_1, rel=1e-15)
         assert kernels.quintic_sin(-1.0) == pytest.approx(QUINTIC_SIN_NEG1, rel=1e-15)
 
+    def test_quintic_sin_float_equals_array_element(self):
+        # written with products, not powers, it rounds a float as it
+        # rounds an array element
+        x = np.linspace(-3.0, 7.0, 4001)
+        assert kernels.quintic_sin(x).tolist() == [kernels.quintic_sin(v) for v in x.tolist()]
+
     def test_quintic_sin_is_not_odd(self):
         # the quadratic term breaks symmetry; keep that on record
         asym = abs(kernels.quintic_sin(1.0) + kernels.quintic_sin(-1.0))
@@ -104,9 +110,12 @@ class TestOneLogSecondIteration:
         assert float(x2) == pytest.approx(TWO_LOG_X2_1E5, rel=1e-10)
 
     def test_typed_wrapper_reports_two_steps(self):
+        # the one-log step at a point runs through its scheme, eq2a2-pade
         p = core.FlowPoint(1e5, 1e-4)
-        it = kernels.one_log_second_iteration(p, core.starter_eq2_raw(1e5, 1e-4))
+        it = schemes.evaluate_scheme("eq2a2-pade", p)
+        x2, _ = kernels.one_log_second_iteration_raw(1e5, 1e-4, core.starter_eq2_raw(1e5, 1e-4))
         assert it.step == 2
+        assert it.x == x2
         assert it.x == pytest.approx(TWO_LOG_X2_1E5, rel=1e-10)
 
     def test_smooth_limit_works(self):

@@ -1,9 +1,11 @@
 """Starter formulas, acceleration steps, and the scheme registry."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from colebrook import core, kernels, schemes
+from colebrook import core, evaluation, schemes
 
 EQ3_PIN = 3.7421514831245        # a=8, b=1.30103
 EQ4_PIN = 6.5878809877028383
@@ -23,6 +25,20 @@ REQUIRED_IDS = {
 }
 
 
+def _sweep_variants():
+    # the 18 registry schemes plus eq4a/eq5a/eq6a with each rational sine
+    specs = [schemes.get_scheme(sid) for sid in schemes.scheme_ids()]
+    for sid in ("eq4a", "eq5a", "eq6a"):
+        for kernel in ("pade", "quintic"):
+            specs.append(replace(
+                schemes.get_scheme(sid), id=f"{sid}-sin{kernel}", sin_strategy=kernel
+            ))
+    return specs
+
+
+SWEEP_VARIANTS = _sweep_variants()
+
+
 class TestStarters:
     def test_eq3_pin(self):
         assert schemes.starter_eq3_raw(8.0, 1.30103) == pytest.approx(EQ3_PIN, rel=1e-14)
@@ -40,68 +56,78 @@ class TestStarters:
         assert schemes.starter_eq6_raw(6.0, 2.0) == pytest.approx(EQ6_PIN, rel=1e-14)
 
     def test_typed_starters_match_raw(self):
-        p = core.FlowPoint(1e5, 1e-4)
+        # the bare ids at a point are the raw starters at normalize(point)
+        p = core.FlowPoint(3.7e6, 2.4e-3)
         n = core.normalize(p)
-        assert schemes.starter_eq3(n).x == schemes.starter_eq3_raw(n.a, n.b)
-        assert schemes.starter_eq4(n).x == schemes.starter_eq4_raw(n.a, n.b)
-        assert schemes.starter_eq5(n).x == schemes.starter_eq5_raw(n.a, n.b)
-        assert schemes.starter_eq6(n).x == schemes.starter_eq6_raw(n.a, n.b)
-        assert schemes.starter_eq2(p).x == core.starter_eq2_raw(1e5, 1e-4)
+        assert schemes.evaluate_scheme("eq3", p).x == schemes.starter_eq3_raw(n.a, n.b)
+        assert schemes.evaluate_scheme("eq4", p).x == schemes.starter_eq4_raw(n.a, n.b)
+        assert schemes.evaluate_scheme("eq5", p).x == schemes.starter_eq5_raw(n.a, n.b)
+        assert schemes.evaluate_scheme("eq6", p).x == schemes.starter_eq6_raw(n.a, n.b)
+        assert schemes.evaluate_scheme("eq2", p).x == core.starter_eq2_raw(3.7e6, 2.4e-3)
 
     def test_starters_are_step_zero(self):
-        n = core.NormalizedPoint(5.0, 4.0)
-        assert schemes.starter_eq6(n).step == 0
+        p = core.FlowPoint(1e5, 1e-4)
+        for sid in ("eq2", "eq3", "eq4", "eq5", "eq6"):
+            assert schemes.evaluate_scheme(sid, p).step == 0
 
     def test_eq3_rejects_nonpositive_a(self):
-        with pytest.raises(core.DomainError):
-            schemes.starter_eq3(core.NormalizedPoint(0.0, 4.0))
+        # Re = 1 gives a = log10(Re) = 0
+        with pytest.raises(core.DomainError, match="a = log10"):
+            schemes.evaluate_scheme("eq3", core.FlowPoint(1.0, 1e-4, out_of_domain_ok=True))
 
     def test_sine_argument_coefficients(self):
-        assert schemes.SIN_ARG_COEF == {"eq4": 0.937, "eq5": 0.935, "eq6": 0.939}
+        # each sine-bearing starter takes one sine, of coef*a - b
+        for fn, coef in (
+            (schemes.starter_eq4_raw, 0.937),
+            (schemes.starter_eq5_raw, 0.935),
+            (schemes.starter_eq6_raw, 0.939),
+        ):
+            args = []
+            fn(5.0, 4.0, sin=lambda t: args.append(t) or 0.0)
+            assert args == [coef * 5.0 - 4.0]
+        assert schemes.SINE_STARTERS == ("eq4", "eq5", "eq6")
 
 
 class TestAcceleration:
     def test_two_step_chain(self):
         p = core.FlowPoint(1e5, 1e-4)
-        it0 = schemes.starter_eq2(p)
-        it1 = schemes.accelerate(p, it0)
-        it2 = schemes.accelerate(p, it1)
+        it1 = schemes.evaluate_scheme("eq2a1", p)
+        it2 = schemes.evaluate_scheme("eq2a2", p)
         assert (it1.step, it2.step) == (1, 2)
         assert it1.x == pytest.approx(CHAIN_X1, rel=1e-14)
         assert it2.x == pytest.approx(CHAIN_X2, rel=1e-14)
+        # each step is one application of the implicit map
+        assert it1.x == core.colebrook_rhs(p, core.starter_eq2_raw(1e5, 1e-4))
+        assert it2.x == core.colebrook_rhs(p, it1.x)
 
     def test_eq3_chain(self):
         p = core.FlowPoint(1e5, 1e-4)
-        it0 = schemes.starter_eq3(core.normalize(p))
+        it0 = schemes.evaluate_scheme("eq3", p)
         assert it0.x == pytest.approx(EQ3_CHAIN_X0, rel=1e-14)
-        it1 = schemes.accelerate(p, it0)
+        it1 = schemes.evaluate_scheme("eq3a", p)
         assert it1.x == pytest.approx(EQ3_CHAIN_X1, rel=1e-14)
+        assert it1.x == core.colebrook_rhs(p, it0.x)
 
     def test_each_step_improves_reference_point(self):
         p = core.FlowPoint(1e5, 1e-4)
         lam = core.solve_colebrook_exact(p).iterate.lam
-        it = schemes.starter_eq2(p)
-        errs = [core.relative_error_pct(lam, it.lam)]
-        for _ in range(2):
-            it = schemes.accelerate(p, it)
-            errs.append(core.relative_error_pct(lam, it.lam))
+        errs = [
+            core.relative_error_pct(lam, schemes.evaluate_scheme(sid, p).lam)
+            for sid in ("eq2", "eq2a1", "eq2a2")
+        ]
         assert errs[0] > errs[1] > errs[2]
 
 
 class TestTheta:
     def test_is_negative(self):
-        p = core.FlowPoint(1e5, 1e-4)
-        th = schemes.theta(p, core.starter_eq2_raw(1e5, 1e-4))
-        assert th.theta == pytest.approx(-7.066908105475309, rel=1e-12)
-        assert th.theta < 0
+        th = schemes.theta_raw(1e5, 1e-4, core.starter_eq2_raw(1e5, 1e-4))
+        assert th == pytest.approx(-7.066908105475309, rel=1e-12)
+        assert th < 0
 
     def test_rejects_smooth_limit(self):
+        # theta divides by eps/D; the vector path refuses eps/D = 0
         with pytest.raises(core.DomainError):
-            schemes.theta(core.FlowPoint(1e5, 0.0), 7.0)
-
-    def test_rejects_nonpositive_x(self):
-        with pytest.raises(core.DomainError):
-            schemes.theta(core.FlowPoint(1e5, 1e-4), 0.0)
+            schemes.evaluate_scheme_raw("eq2a1-t", np.array([1e5, 1e6]), np.array([1e-4, 0.0]))
 
 
 class TestTransformedForm:
@@ -118,22 +144,19 @@ class TestTransformedForm:
             schemes.transformed_constants("fast")
 
     def test_published_step_pin(self):
-        p = core.FlowPoint(1e5, 1e-4)
-        it1 = schemes.accelerate_transformed(p, schemes.starter_eq2(p))
+        it1 = schemes.evaluate_scheme("eq2a1-t", core.FlowPoint(1e5, 1e-4))
         assert it1.step == 1
         assert it1.x == pytest.approx(TRANSFORMED_PUB_X1, rel=1e-14)
 
     def test_exact_constants_recover_direct_step(self):
         p = core.FlowPoint(1e5, 1e-4)
-        it0 = schemes.starter_eq2(p)
-        direct = schemes.accelerate(p, it0)
-        transformed = schemes.accelerate_transformed(p, it0, constants="exact")
+        direct = schemes.evaluate_scheme("eq2a1", p)
+        transformed = schemes.evaluate_scheme("eq2a1-t", p, constants="exact")
         assert transformed.x == pytest.approx(direct.x, rel=1e-13)
 
     def test_needs_roughness(self):
-        p = core.FlowPoint(1e5, 0.0)
-        with pytest.raises(core.DomainError):
-            schemes.accelerate_transformed(p, schemes.starter_eq2(p))
+        with pytest.raises(core.DomainError, match="rel_rough = 0"):
+            schemes.evaluate_scheme("eq2a1-t", core.FlowPoint(1e5, 0.0))
 
 
 class TestRegistry:
@@ -188,6 +211,9 @@ class TestEvaluateScheme:
     def test_normalized_starter_rejects_smooth(self):
         with pytest.raises(core.DomainError):
             schemes.evaluate_scheme("eq3", core.FlowPoint(1e5, 0.0))
+        # below the smooth floor counts as smooth too
+        with pytest.raises(core.DomainError, match="rel_rough >="):
+            schemes.evaluate_scheme("eq3", core.FlowPoint(1e5, 1e-12))
 
     def test_eq2_family_accepts_smooth(self):
         it = schemes.evaluate_scheme("eq2a2", core.FlowPoint(1e5, 0.0))
@@ -200,24 +226,35 @@ class TestEvaluateScheme:
         trans = schemes.evaluate_scheme("eq6a-t", p, constants="exact")
         assert trans.x == pytest.approx(direct.x, rel=1e-12)
 
-    def test_raw_matches_scalar_for_every_scheme(self):
-        pts = [(4000.0, 1e-6), (1e5, 1e-4), (3.7e6, 2.4e-3), (1e8, 0.05), (12000.0, 0.01)]
-        res = np.array([p[0] for p in pts])
-        rough = np.array([p[1] for p in pts])
-        for sid in schemes.scheme_ids():
-            spec = schemes.get_scheme(sid)
-            xs, _ = schemes.evaluate_scheme_raw(spec, res, rough)
-            for i, (re, rr) in enumerate(pts):
-                want = schemes.evaluate_scheme(spec, core.FlowPoint(re, rr)).x
-                assert xs[i] == pytest.approx(want, rel=1e-15), (sid, re, rr)
+    @pytest.mark.parametrize("spec", SWEEP_VARIANTS, ids=lambda spec: spec.id)
+    def test_scalar_equals_raw_bit_for_bit(self, spec):
+        # log-mapped Sobol points over the default box plus its corners;
+        # the eq2 family also on the smooth limit eps/D = 0
+        g = evaluation.DEFAULT_GRID
+        pts = evaluation.sobol_2d(2048, bounds=g, mapping="log")
+        res, rough = pts[:, 0].tolist(), pts[:, 1].tolist()
+        for re in (g.re_min, g.re_max):
+            for rr in (g.rough_min, g.rough_max):
+                res.append(re)
+                rough.append(rr)
+        if spec.starter == "eq2" and spec.accel_form == "direct":
+            res += [g.re_min, 1e5, g.re_max]
+            rough += [0.0, 0.0, 0.0]
+        xs, _ = schemes.evaluate_scheme_raw(spec, res, rough)
+        for x, re, rr in zip(xs.tolist(), res, rough):
+            it = schemes.evaluate_scheme(spec, core.FlowPoint(re, rr))
+            assert it.x == x, (spec.id, re, rr)
+            assert it.step == spec.accel_steps
 
 
 class TestSineStrategies:
     def test_in_window_point_uses_kernel(self):
-        # a=5, b=4 puts the eq6 sine argument at 0.695, inside the window
-        n = core.NormalizedPoint(5.0, 4.0)
-        exact = schemes.starter_eq6(n).x
-        pade = schemes.starter_eq6(n, sin_strategy="pade").x
+        # (Re, eps/D) = (1e5, 1e-4) is a=5, b=4 and puts the eq6 sine
+        # argument at 0.695, inside the window
+        p = core.FlowPoint(1e5, 1e-4)
+        spec = schemes.SchemeSpec(id="w", starter="eq6", sin_strategy="pade")
+        exact = schemes.evaluate_scheme("eq6", p).x
+        pade = schemes.evaluate_scheme(spec, p).x
         assert pade != exact
         assert pade == pytest.approx(exact, rel=1e-3)
 
@@ -232,9 +269,3 @@ class TestSineStrategies:
         assert fallbacks == 1
         assert x_pade[1] == x_exact[1]   # fell back, bitwise identical
         assert x_pade[0] != x_exact[0]
-
-    def test_sine_argument_helper(self):
-        n = core.NormalizedPoint(5.0, 4.0)
-        arg = schemes.sine_argument("eq6", n)
-        assert arg == pytest.approx(0.939 * 5.0 - 4.0, rel=1e-14)
-        assert kernels.in_sin_window(arg)
