@@ -399,43 +399,77 @@ def scan_errors(
 
 CSV_HEADER = "re,rel_rough,lambda_ref,lambda_approx,rel_err_pct"
 
+# rows formatted and written per block; bounds the text held at once
+_CSV_BLOCK = 4096
+
+
+def _distinct_text(col):
+    """(texts, index): the repr of each distinct float64 bit pattern in
+    col, and for each element the position of its text. Keyed on bits,
+    so -0.0 and 0.0 and different NaNs stay apart."""
+    col = np.ascontiguousarray(col, dtype=np.float64)
+    bits, index = np.unique(col.view(np.uint64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts, index
+
 
 def export_csv(errmap: ErrorMap, path):
     """Write the map as CSV: fixed header, shortest round-trip decimal
-    floats, rough-major row order. Byte-identical across runs."""
+    floats (``repr``), rough-major row order. Byte-identical across runs.
+
+    The two axis columns repeat few values, so each distinct value is
+    formatted once; rows are written in blocks of ``_CSV_BLOCK``.
+    """
+    re_text, re_idx = _distinct_text(errmap.re)
+    rough_text, rough_idx = _distinct_text(errmap.rel_rough)
+    # "{}" formats a float as repr does
+    row = "{},{},{},{},{}\n".format
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(CSV_HEADER + "\n")
-        for row in zip(
-            errmap.re.tolist(),
-            errmap.rel_rough.tolist(),
-            errmap.lambda_ref.tolist(),
-            errmap.lambda_approx.tolist(),
-            errmap.rel_err_pct.tolist(),
-        ):
-            f.write(",".join(repr(v) for v in row) + "\n")
+        for lo in range(0, re_idx.size, _CSV_BLOCK):
+            hi = lo + _CSV_BLOCK
+            f.write("".join(map(
+                row,
+                re_text[re_idx[lo:hi]].tolist(),
+                rough_text[rough_idx[lo:hi]].tolist(),
+                errmap.lambda_ref[lo:hi].tolist(),
+                errmap.lambda_approx[lo:hi].tolist(),
+                errmap.rel_err_pct[lo:hi].tolist(),
+            )))
 
 
 def load_csv(path) -> ErrorMap:
-    """Read back an exported CSV; restores values exactly."""
+    """Read back an exported CSV; restores values exactly.
+
+    numpy's reader parses the body with correct rounding, so every value
+    written by ``export_csv`` comes back bit for bit (a NaN comes back
+    as the default NaN). Blank lines after the first row are skipped,
+    as numpy's reader skips them.
+
+    Raises:
+        ConfigError: wrong header, a field that is not a number, or a
+            row without exactly five fields.
+    """
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
         if header != CSV_HEADER:
             raise ConfigError(f"unexpected CSV header {header!r}")
-        cols = [[], [], [], [], []]
-        for line in f:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 5:
-                raise ConfigError(f"malformed CSV row {line!r}")
-            for c, p in zip(cols, parts):
-                c.append(float(p))
-    return ErrorMap(
-        grid=None,
-        re=np.array(cols[0]),
-        rel_rough=np.array(cols[1]),
-        lambda_ref=np.array(cols[2]),
-        lambda_approx=np.array(cols[3]),
-        rel_err_pct=np.array(cols[4]),
-    )
+        start = f.tell()
+        first = f.readline()
+        # loadtxt warns on a body without data and returns no columns
+        if not first:
+            return ErrorMap(None, *(np.empty(0) for _ in range(5)))
+        if not first.strip():
+            raise ConfigError(f"malformed CSV row {first!r}")
+        f.seek(start)
+        try:
+            rows = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"malformed CSV body: {exc}") from None
+    if rows.shape[1] != 5:
+        raise ConfigError(f"CSV rows have {rows.shape[1]} fields, expected 5")
+    # one copy makes each column contiguous
+    return ErrorMap(None, *np.ascontiguousarray(rows.T))
 
 
 def export_heatmap(errmap: ErrorMap, path):
@@ -458,7 +492,7 @@ def export_heatmap(errmap: ErrorMap, path):
         pix = np.zeros(err.size, dtype=np.int64)
     with open(path, "w", encoding="ascii", newline="") as f:
         f.write(f"P2\n{w} {h}\n255\n")
-        f.write("\n".join(str(int(p)) for p in pix))
+        f.write("\n".join(map(str, pix.tolist())))
         f.write("\n")
 
 

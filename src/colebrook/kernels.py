@@ -72,6 +72,10 @@ def quintic_sin(x):
     return x - x2 / 5350.6747 - x3 / 6.0171 + x3 * x2 / 127.4678
 
 
+# sine strategy -> kernel
+SIN_KERNELS = {"pade": pade_sin, "quintic": quintic_sin}
+
+
 def in_sin_window(x):
     """True where x lies strictly inside the sine accuracy window."""
     lo, hi = SIN_WINDOW
@@ -88,11 +92,11 @@ def sin_kernel(x, strategy):
     Returns:
         (value, ok) where ok marks arguments inside the accuracy window.
     """
-    if strategy == "pade":
-        return pade_sin(x), in_sin_window(x)
-    if strategy == "quintic":
-        return quintic_sin(x), in_sin_window(x)
-    raise DomainError(f"unknown sine kernel strategy {strategy!r}")
+    try:
+        kernel = SIN_KERNELS[strategy]
+    except KeyError:
+        raise DomainError(f"unknown sine kernel strategy {strategy!r}") from None
+    return kernel(x), in_sin_window(x)
 
 
 def one_log_second_iteration_raw(re, rel_rough, x0):

@@ -76,11 +76,15 @@ def _make_sine(strategy):
 
 def _point_sine(strategy):
     """The sine of one float: the kernel value inside the window, the
-    exact sine outside it, as ``_make_sine`` picks per element."""
+    exact sine outside it, as ``_make_sine`` picks per element. The
+    window test compares Python floats, which cost far less than numpy
+    scalars; the kernel rounds a float as it rounds an array element."""
+    kernel = kernels.SIN_KERNELS[strategy]
+    lo, hi = kernels.SIN_WINDOW
 
     def sine(arg):
-        value, ok = kernels.sin_kernel(arg, strategy)
-        return value if ok else np.sin(arg)
+        x = float(arg)
+        return kernel(x) if lo < x < hi else np.sin(arg)
 
     return sine
 

@@ -218,7 +218,87 @@ class TestScan:
         assert em.sine_fallbacks == outside > 0
 
 
+def _row_by_row_csv(errmap, path):
+    """The reference writer: one ``repr`` per value, one row at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(evaluation.CSV_HEADER + "\n")
+        for row in zip(
+            errmap.re.tolist(),
+            errmap.rel_rough.tolist(),
+            errmap.lambda_ref.tolist(),
+            errmap.lambda_approx.tolist(),
+            errmap.rel_err_pct.tolist(),
+        ):
+            f.write(",".join(repr(v) for v in row) + "\n")
+
+
+# signed zeros, nan, infinities, the smallest subnormal and repr's
+# switch points between positional and exponent notation
+_SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16,
+            9999999999999998.0, 1e-5, 1e-4, 0.00010000000000000002]
+
+
+def _special_map():
+    vals = np.array(_SPECIAL)
+    rng = np.random.default_rng(7)
+    cols = [rng.permutation(np.repeat(vals, 3)) for _ in range(5)]
+    return evaluation.ErrorMap(None, *cols)
+
+
 class TestExports:
+    def test_csv_bytes_equal_row_by_row_writer_across_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(evaluation, "_CSV_BLOCK", 7)
+        em, _ = evaluation.scan_errors("eq6a", grid=evaluation.GridSpec(n_re=8, n_rough=5))
+        assert em.re.size % 7 != 0
+        evaluation.export_csv(em, tmp_path / "new.csv")
+        _row_by_row_csv(em, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_csv_bytes_equal_row_by_row_writer_on_special_values(self, tmp_path):
+        em = _special_map()
+        evaluation.export_csv(em, tmp_path / "new.csv")
+        _row_by_row_csv(em, tmp_path / "old.csv")
+        text = (tmp_path / "new.csv").read_bytes()
+        assert text == (tmp_path / "old.csv").read_bytes()
+        for token in (b"-0.0", b"nan", b"-inf", b"5e-324", b"1e+16", b"9999999999999998.0",
+                      b"1e-05", b"0.0001"):
+            assert token in text
+
+    def test_csv_round_trip_keeps_special_values_bit_for_bit(self, tmp_path):
+        em = _special_map()
+        evaluation.export_csv(em, tmp_path / "map.csv")
+        loaded = evaluation.load_csv(tmp_path / "map.csv")
+        for col in ("re", "rel_rough", "lambda_ref", "lambda_approx", "rel_err_pct"):
+            got, want = getattr(loaded, col), getattr(em, col)
+            assert got.flags.c_contiguous and got.dtype == np.float64
+            # bit patterns: nan positions and the sign of -0.0 included
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), col
+
+    @pytest.mark.parametrize("text,match", [
+        ("re,rel_rough,lambda_ref,lambda_approx\n1,2,3,4\n", "header"),
+        ("{h}\n1,2,3,4,5\n1,2,3,4\n", "malformed"),
+        ("{h}\n1,2,3,4\n1,2,3,4\n", "expected 5"),
+        ("{h}\n1,2,3,4,5,6\n", "expected 5"),
+        ("{h}\nabc,2,3,4,5\n", "malformed"),
+        ("{h}\n1,2,3,4,5#comment\n", "malformed"),
+        ("{h}\n#1,2,3,4,5\n", "malformed"),
+        ("{h}\n\n", "malformed"),
+    ])
+    def test_load_csv_rejects_malformed_files(self, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text.format(h=evaluation.CSV_HEADER))
+        with pytest.raises(evaluation.ConfigError, match=match):
+            evaluation.load_csv(path)
+
+    def test_load_csv_empty_body_gives_empty_columns(self, tmp_path, recwarn):
+        path = tmp_path / "empty.csv"
+        path.write_text(evaluation.CSV_HEADER + "\n")
+        loaded = evaluation.load_csv(path)
+        for col in ("re", "rel_rough", "lambda_ref", "lambda_approx", "rel_err_pct"):
+            got = getattr(loaded, col)
+            assert got.shape == (0,) and got.dtype == np.float64
+        assert len(recwarn) == 0
+
     def test_csv_round_trip(self, tmp_path):
         em, _ = evaluation.scan_errors("eq2a1", grid=evaluation.GridSpec(n_re=6, n_rough=5))
         path = tmp_path / "map.csv"
