@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -22,18 +22,17 @@ EXIT_NONCONVERGENCE = 3
 EXIT_IO = 4
 
 DEFAULT_SETTINGS = {
-    "re_min": 4000.0,
-    "re_max": 1.0e8,
-    "rough_min": 1e-6,
-    "rough_max": 0.05,
-    "n_re": 300,
-    "n_rough": 300,
-    "re_spacing": "log",
-    "rough_spacing": "log",
-    "oracle_tol": 1e-12,
+    **{f.name: f.default for f in fields(evaluation.GridSpec)},
+    "oracle_tol": core.DEFAULT_TOL,
     "sin_strategy": "exact",
     "constants": "published",
     "out_dir": ".",
+}
+
+# config keys whose value must be one of a fixed set
+_SETTING_CHOICES = {
+    "sin_strategy": schemes.SIN_STRATEGIES,
+    "constants": schemes.CONSTANTS_MODES,
 }
 
 
@@ -64,6 +63,8 @@ def load_config(path) -> dict:
                 raise evaluation.ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 settings[key] = type(DEFAULT_SETTINGS[key])(value)
+                if key in _SETTING_CHOICES and value not in _SETTING_CHOICES[key]:
+                    raise ValueError(value)
             except ValueError:
                 raise evaluation.ConfigError(
                     f"{path}:{lineno}: bad value {value!r} for {key}"
@@ -389,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rough", type=float, required=True, help="relative roughness eps/D")
     p.add_argument("--scheme", action="append", choices=solve_ids, metavar="ID",
                    help="scheme id, repeatable; 'colebrook' is the reference solver")
-    p.add_argument("--sin", choices=("exact", "pade", "quintic"),
+    p.add_argument("--sin", choices=schemes.SIN_STRATEGIES,
                    help="sine strategy for sine-bearing starters")
-    p.add_argument("--constants", choices=("published", "exact"),
+    p.add_argument("--constants", choices=schemes.CONSTANTS_MODES,
                    help="constants mode for transformed schemes")
     p.set_defaults(func=_cmd_solve)
 
@@ -408,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1, help="scan partitions")
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--heatmap", help="PGM heatmap output path")
-    p.add_argument("--sin", choices=("exact", "pade", "quintic"))
-    p.add_argument("--constants", choices=("published", "exact"))
+    p.add_argument("--sin", choices=schemes.SIN_STRATEGIES)
+    p.add_argument("--constants", choices=schemes.CONSTANTS_MODES)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("table1", parents=[common],

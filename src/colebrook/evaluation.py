@@ -1,6 +1,6 @@
 """Evaluation harness: domain sampling (mesh and Sobol), error-map
 scanning against the reference solver, the accuracy-vs-complexity table,
-static cost profiles, and wall-time micro-benchmarks.
+operation counts read off the recipes, and wall-time micro-benchmarks.
 
 Grid scans may be partitioned across workers; every point's computation
 is independent and the reduction is associativity-safe, so results are
@@ -12,12 +12,13 @@ computed with whole-array numpy operations (``exact_sum``).
 import math
 import statistics
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import core, schemes
+from . import core, kernels, schemes
 
 
 class ConfigError(ValueError):
@@ -519,7 +520,7 @@ PUBLISHED_MAX_PCT = {
 
 def table1_rows(grid=None, oracle_tol=core.DEFAULT_TOL, workers=1):
     """Accuracy-vs-complexity rows: measured and published maxima plus
-    the static log count, in the fixed row order."""
+    the recipe's log count, in the fixed row order."""
     scans = scan_many(
         schemes.TABLE1_ROW_IDS, grid=grid, oracle_tol=oracle_tol, workers=workers
     )
@@ -569,50 +570,46 @@ class TimingResult:
 
 @dataclass(frozen=True, slots=True)
 class CostProfile:
-    """Static operation counts per evaluation; timing filled by benchmark."""
+    """Operation counts of one evaluation; timing filled by benchmark."""
 
     scheme_id: str
     n_log: int
     n_sin: int
-    n_pow: int
     n_div: int
     timing: TimingResult | None = None
 
 
-# (n_log, n_sin, n_div) of each bare starter; normalization costs two logs
-_STARTER_COSTS = {
-    "eq2": (0, 0, 2),
-    "eq3": (2, 0, 1),
-    "eq4": (2, 1, 0),
-    "eq5": (2, 1, 0),
-    "eq6": (2, 1, 0),
-}
+class _CountingArray(np.ndarray):
+    """A float64 array that tallies each ufunc applied to it in its
+    ``ops`` Counter; array results carry the same Counter on."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.ops[ufunc] += 1
+        plain = (x.view(np.ndarray) if isinstance(x, _CountingArray) else x for x in inputs)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if isinstance(result, np.ndarray):  # reductions may return scalars
+            result = result.view(_CountingArray)
+            result.ops = self.ops
+        return result
 
 
 def cost_profile(scheme_id) -> CostProfile:
-    """Exact static counts fixed by the scheme recipe.
+    """Operation counts of one evaluation, taken by running the scheme's
+    recipe once on one-element counting arrays.
 
-    Every real log10/ln evaluation counts, including normalization;
-    rational kernels count zero logs and zero sines. No scheme uses a
-    non-integer power.
+    Every real log10/ln evaluation counts, including normalization; a
+    kernel sine counts its own divisions and no sine. The counts are
+    those of the in-window path: arguments outside the sine window that
+    fall back to the exact sine are counted by the scans instead
+    (``ErrorMap.sine_fallbacks``).
     """
     spec = schemes.get_scheme(scheme_id) if isinstance(scheme_id, str) else scheme_id
-    n_log, n_sin, n_div = _STARTER_COSTS[spec.starter]
-    if spec.sin_strategy != "exact":
-        n_sin = 0
-    if spec.log_strategy == "pade-one-log":
-        # one real log; divisions: y1, y2 (two each), z, pade_ln, /ln10
-        n_log += 1
-        n_div += 7
-    elif spec.accel_form == "direct":
-        n_log += spec.accel_steps
-        n_div += 2 * spec.accel_steps
-    else:
-        if spec.starter == "eq2" and spec.accel_steps:
-            n_log += 1  # b is not otherwise available for a raw starter
-        n_log += spec.accel_steps
-        n_div += spec.accel_steps
-    return CostProfile(spec.id, n_log, n_sin, 0, n_div)
+    ops = Counter()
+    re, rel_rough = (np.array([v]).view(_CountingArray) for v in (1e5, 1e-4))
+    re.ops = rel_rough.ops = ops
+    sine = np.sin if spec.sin_strategy == "exact" else kernels.SIN_KERNELS[spec.sin_strategy]
+    schemes._recipe(spec, re, rel_rough, sine, "published")
+    return CostProfile(spec.id, ops[np.log10] + ops[np.log], ops[np.sin], ops[np.divide])
 
 
 def benchmark(scheme_ids, batch=None, reps=9, constants="published"):

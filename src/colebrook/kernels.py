@@ -33,7 +33,7 @@ def pade_ln(z):
         if z <= 0.0:
             raise DomainError(f"pade_ln requires z > 0, got {z}")
     else:
-        z = np.asarray(z, dtype=float)
+        z = np.asanyarray(z, dtype=float)
         if np.any(z <= 0.0):
             raise DomainError("pade_ln requires z > 0")
     num = z * (z * (11.0 * z + 27.0) - 27.0) - 11.0

@@ -41,15 +41,16 @@ class RegistryError(SchemeError):
 # published truncated constants of the transformed step; full-precision
 # variants are behind the constants flag
 TRANSFORMED_PUBLISHED = (1.1387478, 0.8686)
+CONSTANTS_MODES = ("published", "exact")
 
 
 def transformed_constants(mode: str) -> tuple:
     """(2*log10(3.71), 2/ln 10) as published truncations or full precision."""
+    if mode not in CONSTANTS_MODES:
+        raise SchemeError(f"constants mode must be one of {CONSTANTS_MODES}, got {mode!r}")
     if mode == "published":
         return TRANSFORMED_PUBLISHED
-    if mode == "exact":
-        return (2.0 * math.log10(3.71), 2.0 / math.log(10.0))
-    raise SchemeError(f"constants mode must be 'published' or 'exact', got {mode!r}")
+    return (2.0 * math.log10(3.71), 2.0 / math.log(10.0))
 
 
 def _make_sine(strategy):
@@ -140,7 +141,7 @@ def theta_raw(re, rel_rough, x):
 _STARTERS = ("eq2", "eq3", "eq4", "eq5", "eq6")
 _ACCEL_FORMS = ("direct", "transformed")
 _LOG_STRATEGIES = ("exact", "pade-one-log")
-_SIN_STRATEGIES = ("exact", "pade", "quintic")
+SIN_STRATEGIES = ("exact", "pade", "quintic")
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,7 +166,7 @@ class SchemeSpec:
             raise SchemeError(f"unknown accel_form {self.accel_form!r}")
         if self.log_strategy not in _LOG_STRATEGIES:
             raise SchemeError(f"unknown log_strategy {self.log_strategy!r}")
-        if self.sin_strategy not in _SIN_STRATEGIES:
+        if self.sin_strategy not in SIN_STRATEGIES:
             raise SchemeError(f"unknown sin_strategy {self.sin_strategy!r}")
         if self.log_strategy == "pade-one-log" and (
             self.accel_steps != 2 or self.accel_form != "direct"

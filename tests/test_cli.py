@@ -235,6 +235,23 @@ class TestConfig:
         assert rc == 1
         assert "bad value" in err
 
+    @pytest.mark.parametrize("line", ["constants = bogus", "sin_strategy = nonsense"])
+    def test_bad_enumerated_value_rejected(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc, _, err = run(capsys, "scan", "--scheme", "eq2a2", "--grid", "5x5",
+                         "--config", str(cfg), "--json")
+        assert rc == 1
+        assert "bad value" in err
+
+    def test_defaults_keep_their_cast_types(self):
+        # load_config casts a value with the type of its default
+        types = {k: type(v) for k, v in cli.DEFAULT_SETTINGS.items()}
+        assert types["re_min"] is types["rough_max"] is types["oracle_tol"] is float
+        assert types["n_re"] is types["n_rough"] is int
+        assert types["re_spacing"] is types["constants"] is str
+        assert cli.DEFAULT_SETTINGS["oracle_tol"] == core.DEFAULT_TOL
+
     def test_out_dir_prefixes_relative_outputs(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"out_dir = {tmp_path}\n")

@@ -396,7 +396,20 @@ class TestCostModel:
     ])
     def test_operation_counts(self, sid, n_log, n_sin, n_div):
         c = evaluation.cost_profile(sid)
-        assert (c.n_log, c.n_sin, c.n_pow, c.n_div) == (n_log, n_sin, 0, n_div)
+        assert (c.n_log, c.n_sin, c.n_div) == (n_log, n_sin, n_div)
+
+    @pytest.mark.parametrize("sid", ["eq4a", "eq5a", "eq6a"])
+    @pytest.mark.parametrize("strategy,n_div", [("pade", 3), ("quintic", 5)])
+    def test_kernel_sine_counts_its_divisions(self, sid, strategy, n_div):
+        # built as the CLI builds a kernel variant; the kernel replaces
+        # the one sine and brings its own divisions (one Pade, three quintic)
+        spec = replace(schemes.get_scheme(sid), id=f"{sid}-sin{strategy}",
+                       sin_strategy=strategy)
+        c = evaluation.cost_profile(spec)
+        assert (c.scheme_id, c.n_log, c.n_sin, c.n_div) == (spec.id, 3, 0, n_div)
+
+    def test_repeated_calls_count_afresh(self):
+        assert evaluation.cost_profile("eq2a2") == evaluation.cost_profile("eq2a2")
 
     def test_one_log_trick_saves_a_log(self):
         assert evaluation.cost_profile("eq2a2-pade").n_log == \
