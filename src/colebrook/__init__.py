@@ -43,6 +43,7 @@ from .schemes import (
     evaluate_scheme,
     get_scheme,
     scheme_ids,
+    variant,
 )
 
 __version__ = "0.1.0"
@@ -82,5 +83,6 @@ __all__ = [
     "evaluate_scheme",
     "get_scheme",
     "scheme_ids",
+    "variant",
     "__version__",
 ]

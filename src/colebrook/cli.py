@@ -1,15 +1,16 @@
 """Command-line front end: solve, scan, table1, bench, kernels, grid.
 
 Exit codes: 0 ok, 1 usage or configuration error, 2 domain error,
-3 non-convergence, 4 I/O error. A flat ``key = value`` config file can
-supply defaults; explicit flags always win.
+3 non-convergence, 4 I/O error. Settings resolve once per run: built-in
+defaults, then a flat ``key = value`` config file, then the flags, each
+stored under its settings key.
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -73,46 +74,33 @@ def load_config(path) -> dict:
 
 
 def _resolve_settings(args) -> dict:
+    """Defaults <- config file <- flags. A flag's dest is its settings
+    key; ``--grid NxM`` sets n_re and n_rough."""
     settings = dict(DEFAULT_SETTINGS)
-    if getattr(args, "config", None):
+    if args.config:
         settings.update(load_config(args.config))
+    if getattr(args, "grid", None):
+        try:
+            settings["n_re"], settings["n_rough"] = map(int, args.grid.lower().split("x"))
+        except ValueError:
+            raise evaluation.ConfigError(f"--grid expects NxM, got {args.grid!r}") from None
+    settings.update(
+        (k, v) for k, v in vars(args).items() if k in DEFAULT_SETTINGS and v is not None
+    )
     return settings
 
 
-def _grid_from(args, settings) -> evaluation.GridSpec:
-    n_re, n_rough = settings["n_re"], settings["n_rough"]
-    if getattr(args, "grid", None):
-        parts = args.grid.lower().split("x")
-        try:
-            n_re, n_rough = (int(p) for p in parts)
-        except ValueError:
-            raise evaluation.ConfigError(
-                f"--grid expects NxM, got {args.grid!r}"
-            ) from None
-    pick = lambda flag, key: settings[key] if getattr(args, flag, None) is None else getattr(args, flag)
-    return evaluation.GridSpec(
-        re_min=pick("re_min", "re_min"),
-        re_max=pick("re_max", "re_max"),
-        rough_min=pick("rough_min", "rough_min"),
-        rough_max=pick("rough_max", "rough_max"),
-        n_re=n_re,
-        n_rough=n_rough,
-        re_spacing=settings["re_spacing"],
-        rough_spacing=settings["rough_spacing"],
-    )
+def _grid_from(settings) -> evaluation.GridSpec:
+    return evaluation.GridSpec(**{f.name: settings[f.name] for f in fields(evaluation.GridSpec)})
+
+
+def _spec(scheme_id, settings) -> schemes.SchemeSpec:
+    return schemes.variant(scheme_id, settings["sin_strategy"], settings["constants"])
 
 
 def _out_path(settings, path):
     # relative outputs land in the configured output directory
     return path if os.path.isabs(path) else os.path.join(settings["out_dir"], path)
-
-
-def _apply_sin(spec, sin_strategy):
-    # the flag only matters for sine-bearing starters; the variant gets
-    # its own id, e.g. eq6a-sinpade
-    if sin_strategy != "exact" and spec.starter in schemes.SINE_STARTERS:
-        return replace(spec, id=f"{spec.id}-sin{sin_strategy}", sin_strategy=sin_strategy)
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -121,34 +109,24 @@ def _apply_sin(spec, sin_strategy):
 
 def _cmd_solve(args, settings):
     point = core.FlowPoint(args.re, args.rough, out_of_domain_ok=True)
-    sin_strategy = args.sin or settings["sin_strategy"]
-    constants = args.constants or settings["constants"]
     oracle = core.solve_colebrook_exact(point, tol=settings["oracle_tol"])
     lam_oracle = oracle.iterate.lam
     results = []
     for sid in args.scheme or ["colebrook"]:
         if sid == "colebrook":
-            results.append(
-                {
-                    "scheme": "colebrook",
-                    "x": oracle.iterate.x,
-                    "lambda": lam_oracle,
-                    "lambda_oracle": lam_oracle,
-                    "rel_err_pct": 0.0,
-                    "steps": oracle.iterations,
-                }
-            )
-            continue
-        spec = _apply_sin(schemes.get_scheme(sid), sin_strategy)
-        it = schemes.evaluate_scheme(spec, point, constants=constants)
+            it, steps = oracle.iterate, oracle.iterations
+        else:
+            spec = _spec(sid, settings)
+            sid, it = spec.id, schemes.evaluate_scheme(spec, point)
+            steps = it.step
         results.append(
             {
-                "scheme": spec.id,
+                "scheme": sid,
                 "x": it.x,
                 "lambda": it.lam,
                 "lambda_oracle": lam_oracle,
                 "rel_err_pct": core.relative_error_pct(lam_oracle, it.lam),
-                "steps": it.step,
+                "steps": steps,
             }
         )
     if args.json:
@@ -177,16 +155,10 @@ def _cmd_solve(args, settings):
 
 
 def _cmd_scan(args, settings):
-    grid = _grid_from(args, settings)
-    sin_strategy = args.sin or settings["sin_strategy"]
-    constants = args.constants or settings["constants"]
-    spec = _apply_sin(schemes.get_scheme(args.scheme), sin_strategy)
+    grid = _grid_from(settings)
+    spec = _spec(args.scheme, settings)
     errmap, stats = evaluation.scan_errors(
-        spec,
-        grid=grid,
-        oracle_tol=settings["oracle_tol"],
-        workers=args.workers,
-        constants=constants,
+        spec, grid=grid, oracle_tol=settings["oracle_tol"], workers=args.workers
     )
     csv_path = heatmap_path = None
     if args.out:
@@ -212,10 +184,7 @@ def _cmd_scan(args, settings):
         ))
         return EXIT_OK
     if spec.sin_strategy != "exact":
-        print(
-            f"sine fallbacks: {errmap.sine_fallbacks} of {grid.size}",
-            file=sys.stderr,
-        )
+        print(f"sine fallbacks: {errmap.sine_fallbacks} of {grid.size}", file=sys.stderr)
     # stable machine-parseable summary line
     print(
         f"{spec.id} {stats.max_pct!r} {stats.argmax_re!r} "
@@ -225,7 +194,12 @@ def _cmd_scan(args, settings):
 
 
 def _cmd_table1(args, settings):
-    grid = _grid_from(args, settings)
+    if settings["sin_strategy"] != "exact":
+        raise evaluation.ConfigError(
+            f"table1 prints the published rows; sin_strategy must be exact, "
+            f"got {settings['sin_strategy']!r}"
+        )
+    grid = _grid_from(settings)
     rows = evaluation.table1_rows(
         grid=grid, oracle_tol=settings["oracle_tol"], workers=args.workers
     )
@@ -246,17 +220,10 @@ def _cmd_table1(args, settings):
 
 
 def _cmd_bench(args, settings):
-    requested = args.scheme or ["all"]
-    ids = list(schemes.scheme_ids()) if "all" in requested else requested
-    batch = evaluation.sobol_2d(
-        args.batch,
-        bounds=(
-            settings["re_min"], settings["re_max"],
-            settings["rough_min"], settings["rough_max"],
-        ),
-    )
+    ids = schemes.scheme_ids() if "all" in (args.scheme or ["all"]) else args.scheme
+    batch = evaluation.sobol_2d(args.batch, bounds=_grid_from(settings))
     profiles = evaluation.benchmark(
-        ids, batch=batch, reps=args.reps, constants=settings["constants"]
+        [_spec(sid, settings) for sid in ids], batch=batch, reps=args.reps
     )
     timing = {p.scheme_id: p.timing for p in profiles}
     pade_faster = None
@@ -345,20 +312,13 @@ def _cmd_kernels(args, settings):
 
 
 def _cmd_grid(args, settings):
-    grid = _grid_from(args, settings)
+    grid = _grid_from(settings)
     re_axis, rough_axis = evaluation.grid_axes(grid)
     if args.json:
         print(json.dumps(
             {
                 "points": grid.size,
-                "re_min": grid.re_min,
-                "re_max": grid.re_max,
-                "rough_min": grid.rough_min,
-                "rough_max": grid.rough_max,
-                "n_re": grid.n_re,
-                "n_rough": grid.n_rough,
-                "re_spacing": grid.re_spacing,
-                "rough_spacing": grid.rough_spacing,
+                **asdict(grid),
                 "re_first": float(re_axis[0]),
                 "re_last": float(re_axis[-1]),
                 "rough_first": float(rough_axis[0]),
@@ -384,17 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="colebrook", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve_ids = ("colebrook",) + schemes.scheme_ids()
-    p = sub.add_parser("solve", parents=[common], help="evaluate schemes at one point")
-    p.add_argument("--re", type=float, required=True, help="Reynolds number")
-    p.add_argument("--rough", type=float, required=True, help="relative roughness eps/D")
-    p.add_argument("--scheme", action="append", choices=solve_ids, metavar="ID",
-                   help="scheme id, repeatable; 'colebrook' is the reference solver")
-    p.add_argument("--sin", choices=schemes.SIN_STRATEGIES,
-                   help="sine strategy for sine-bearing starters")
-    p.add_argument("--constants", choices=schemes.CONSTANTS_MODES,
-                   help="constants mode for transformed schemes")
-    p.set_defaults(func=_cmd_solve)
+    # each flag's dest is its settings key
+    def add_variant_flags(q):
+        q.add_argument("--sin", dest="sin_strategy", choices=schemes.SIN_STRATEGIES,
+                       help="sine strategy for sine-bearing starters; id suffix -sinNAME")
+        q.add_argument("--constants", choices=schemes.CONSTANTS_MODES,
+                       help="constants mode for transformed steps; id suffix -exact")
 
     def add_grid_flags(q):
         q.add_argument("--grid", metavar="NxM", help="mesh size, e.g. 300x300")
@@ -403,14 +358,22 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--rough-min", dest="rough_min", type=float)
         q.add_argument("--rough-max", dest="rough_max", type=float)
 
+    solve_ids = ("colebrook",) + schemes.scheme_ids()
+    p = sub.add_parser("solve", parents=[common], help="evaluate schemes at one point")
+    p.add_argument("--re", type=float, required=True, help="Reynolds number")
+    p.add_argument("--rough", type=float, required=True, help="relative roughness eps/D")
+    p.add_argument("--scheme", action="append", choices=solve_ids, metavar="ID",
+                   help="scheme id, repeatable; 'colebrook' is the reference solver")
+    add_variant_flags(p)
+    p.set_defaults(func=_cmd_solve)
+
     p = sub.add_parser("scan", parents=[common], help="error map of a scheme over a mesh")
     p.add_argument("--scheme", required=True, choices=schemes.scheme_ids(), metavar="ID")
     add_grid_flags(p)
     p.add_argument("--workers", type=int, default=1, help="scan partitions")
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--heatmap", help="PGM heatmap output path")
-    p.add_argument("--sin", choices=schemes.SIN_STRATEGIES)
-    p.add_argument("--constants", choices=schemes.CONSTANTS_MODES)
+    add_variant_flags(p)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("table1", parents=[common],
@@ -425,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="ID", help="scheme id or 'all', repeatable")
     p.add_argument("--reps", type=int, default=9)
     p.add_argument("--batch", type=int, default=4096)
+    add_variant_flags(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("kernels", parents=[common], help="kernel accuracy sweeps")

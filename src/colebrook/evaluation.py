@@ -2,6 +2,11 @@
 scanning against the reference solver, the accuracy-vs-complexity table,
 operation counts read off the recipes, and wall-time micro-benchmarks.
 
+Schemes are given as registered ids or as ``SchemeSpec``s; a spec
+carries everything it computes, its sine strategy and constants mode
+included, so a variant (``schemes.variant``) is scanned, counted and
+timed under its own id with no further settings.
+
 Grid scans may be partitioned across workers; every point's computation
 is independent and the reduction is associativity-safe, so results are
 identical for any worker count. The mean error is the correctly rounded
@@ -304,7 +309,7 @@ def stats_of(errmap: ErrorMap) -> ErrorStats:
     )
 
 
-def _scan_chunk(spec_list, re_c, rough_c, oracle_tol, constants):
+def _scan_chunk(spec_list, re_c, rough_c, oracle_tol):
     x0 = core.oracle_start_raw(re_c, rough_c)
     x_ref, _, _, converged = core.solve_colebrook_raw(re_c, rough_c, x0, tol=oracle_tol)
     if not converged.all():
@@ -325,24 +330,24 @@ def _scan_chunk(spec_list, re_c, rough_c, oracle_tol, constants):
     lam_ref = x_ref ** -2.0
     per_scheme = []
     for spec in spec_list:
-        x_a, nfb = schemes.evaluate_scheme_raw(spec, re_c, rough_c, constants=constants)
+        x_a, nfb = schemes.evaluate_scheme_raw(spec, re_c, rough_c)
         lam_a = x_a ** -2.0
         per_scheme.append((lam_a, core.relative_error_pct_raw(lam_ref, lam_a), nfb))
     return lam_ref, per_scheme
 
 
-def scan_many(
-    scheme_ids, grid=None, oracle_tol=core.DEFAULT_TOL, workers=1, constants="published"
-):
-    """Scan several schemes over one mesh, solving the oracle once.
+def scan_many(scheme_ids, grid=None, oracle_tol=core.DEFAULT_TOL, workers=1):
+    """Scan several schemes (ids or specs) over one mesh, solving the
+    oracle once.
 
     Returns:
-        dict scheme_id -> (ErrorMap, ErrorStats).
+        dict spec id -> (ErrorMap, ErrorStats); variants of one scheme
+        (``schemes.variant``) have ids of their own.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     grid = DEFAULT_GRID if grid is None else grid
-    spec_list = [schemes.get_scheme(s) if isinstance(s, str) else s for s in scheme_ids]
+    spec_list = [schemes.get_scheme(s) for s in scheme_ids]
     re_flat, rough_flat = _flat_mesh(grid)
     parts = min(workers, grid.size)
     bounds = [grid.size * k // parts for k in range(parts + 1)]
@@ -350,7 +355,7 @@ def scan_many(
 
     def work(chunk):
         lo, hi = chunk
-        return _scan_chunk(spec_list, re_flat[lo:hi], rough_flat[lo:hi], oracle_tol, constants)
+        return _scan_chunk(spec_list, re_flat[lo:hi], rough_flat[lo:hi], oracle_tol)
 
     if workers == 1:
         results = [work(chunk) for chunk in chunks]
@@ -379,19 +384,14 @@ def scan_many(
     return out
 
 
-def scan_errors(
-    scheme_id, grid=None, oracle_tol=core.DEFAULT_TOL, workers=1, constants="published"
-):
+def scan_errors(scheme_id, grid=None, oracle_tol=core.DEFAULT_TOL, workers=1):
     """Scan one scheme against the oracle over a mesh.
 
     Returns:
         (ErrorMap, ErrorStats); deterministic for any worker count.
     """
-    key = scheme_id if isinstance(scheme_id, str) else scheme_id.id
-    return scan_many(
-        [scheme_id], grid=grid, oracle_tol=oracle_tol, workers=workers,
-        constants=constants,
-    )[key]
+    spec = schemes.get_scheme(scheme_id)
+    return scan_many([spec], grid=grid, oracle_tol=oracle_tol, workers=workers)[spec.id]
 
 
 # ---------------------------------------------------------------------------
@@ -603,16 +603,16 @@ def cost_profile(scheme_id) -> CostProfile:
     fall back to the exact sine are counted by the scans instead
     (``ErrorMap.sine_fallbacks``).
     """
-    spec = schemes.get_scheme(scheme_id) if isinstance(scheme_id, str) else scheme_id
+    spec = schemes.get_scheme(scheme_id)
     ops = Counter()
     re, rel_rough = (np.array([v]).view(_CountingArray) for v in (1e5, 1e-4))
     re.ops = rel_rough.ops = ops
     sine = np.sin if spec.sin_strategy == "exact" else kernels.SIN_KERNELS[spec.sin_strategy]
-    schemes._recipe(spec, re, rel_rough, sine, "published")
+    schemes._recipe(spec, re, rel_rough, sine)
     return CostProfile(spec.id, ops[np.log10] + ops[np.log], ops[np.sin], ops[np.divide])
 
 
-def benchmark(scheme_ids, batch=None, reps=9, constants="published"):
+def benchmark(scheme_ids, batch=None, reps=9):
     """Wall-time micro-benchmark, single-threaded, fixed batch order.
 
     Whole-batch loops around a monotonic clock, reps repetitions; the
@@ -633,21 +633,18 @@ def benchmark(scheme_ids, batch=None, reps=9, constants="published"):
     rough_b = np.ascontiguousarray(batch[:, 1])
     out = []
     for sid in scheme_ids:
-        spec = schemes.get_scheme(sid) if isinstance(sid, str) else sid
-        schemes.evaluate_scheme_raw(spec, re_b, rough_b, constants=constants)  # warmup
+        spec = schemes.get_scheme(sid)
+        schemes.evaluate_scheme_raw(spec, re_b, rough_b)  # warmup
         sink = 0.0
         samples = []
         for _ in range(reps):
             t0 = time.perf_counter_ns()
-            x, _ = schemes.evaluate_scheme_raw(spec, re_b, rough_b, constants=constants)
+            x, _ = schemes.evaluate_scheme_raw(spec, re_b, rough_b)
             sink += float(x[0]) + float(x[-1])
             t1 = time.perf_counter_ns()
             samples.append((t1 - t0) / re_b.size)
         med = statistics.median(samples)
         mad = statistics.median(abs(s - med) for s in samples)
-        prof = replace(
-            cost_profile(spec),
-            timing=TimingResult(med, mad, reps, int(re_b.size), sink),
-        )
-        out.append(prof)
+        timing = TimingResult(med, mad, reps, int(re_b.size), sink)
+        out.append(replace(cost_profile(spec), timing=timing))
     return out

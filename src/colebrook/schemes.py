@@ -7,14 +7,17 @@ acceleration step, ``eqNa2`` two steps, suffix ``-pade`` the one-log
 second iteration, suffix ``-t`` the transformed accelerator. All
 coefficients are kept exactly as published.
 
-Each scheme has one implementation, ``_recipe``: plain arithmetic that
-runs unchanged on Python floats and on numpy arrays. ``evaluate_scheme``
-(one point) and ``evaluate_scheme_raw`` (arrays) only validate around
-it, so the two agree bit for bit.
+A ``SchemeSpec`` decides all a scheme computes, its sine strategy and
+constants mode included; ``variant`` sets those two under an id of its
+own (``eq6a-sinpade``, ``eq2a1-t-exact``). Each scheme has one
+implementation, ``_recipe``: plain arithmetic that runs unchanged on
+Python floats and on numpy arrays. ``evaluate_scheme`` (one point) and
+``evaluate_scheme_raw`` (arrays) run one input check, ``_check_inputs``,
+and then the recipe, so the two agree bit for bit.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -38,19 +41,24 @@ class RegistryError(SchemeError):
     """Scheme id not present in the registry."""
 
 
-# published truncated constants of the transformed step; full-precision
-# variants are behind the constants flag
-TRANSFORMED_PUBLISHED = (1.1387478, 0.8686)
-CONSTANTS_MODES = ("published", "exact")
+def _check_choice(name, value, allowed):
+    if value not in allowed:
+        raise SchemeError(f"unknown {name} {value!r}; one of {', '.join(allowed)}")
+
+
+# the transformed step's (2*log10(3.71), 2/ln 10) per constants mode: the
+# published truncations or full precision
+_TRANSFORMED_CONSTANTS = {
+    "published": (1.1387478, 0.8686),
+    "exact": (2.0 * math.log10(3.71), 2.0 / math.log(10.0)),
+}
+CONSTANTS_MODES = tuple(_TRANSFORMED_CONSTANTS)
 
 
 def transformed_constants(mode: str) -> tuple:
     """(2*log10(3.71), 2/ln 10) as published truncations or full precision."""
-    if mode not in CONSTANTS_MODES:
-        raise SchemeError(f"constants mode must be one of {CONSTANTS_MODES}, got {mode!r}")
-    if mode == "published":
-        return TRANSFORMED_PUBLISHED
-    return (2.0 * math.log10(3.71), 2.0 / math.log(10.0))
+    _check_choice("constants mode", mode, CONSTANTS_MODES)
+    return _TRANSFORMED_CONSTANTS[mode]
 
 
 def _make_sine(strategy):
@@ -147,8 +155,10 @@ SIN_STRATEGIES = ("exact", "pade", "quintic")
 @dataclass(frozen=True, slots=True)
 class SchemeSpec:
     """A named, composable recipe: starter, acceleration steps and form,
-    log strategy, sine strategy. The id uniquely determines the rest via
-    the registry."""
+    log strategy, sine strategy, and the constants mode of transformed
+    steps. The spec decides everything the scheme computes; a registered
+    id determines the rest via the registry, a ``variant`` id names its
+    settings in suffixes."""
 
     id: str
     starter: str
@@ -156,29 +166,31 @@ class SchemeSpec:
     accel_form: str = "direct"
     log_strategy: str = "exact"
     sin_strategy: str = "exact"
+    constants: str = "published"
 
     def __post_init__(self):
-        if self.starter not in _STARTERS:
-            raise SchemeError(f"unknown starter {self.starter!r}")
+        _check_choice("starter", self.starter, _STARTERS)
         if self.accel_steps < 0:
             raise SchemeError(f"accel_steps must be >= 0, got {self.accel_steps}")
-        if self.accel_form not in _ACCEL_FORMS:
-            raise SchemeError(f"unknown accel_form {self.accel_form!r}")
-        if self.log_strategy not in _LOG_STRATEGIES:
-            raise SchemeError(f"unknown log_strategy {self.log_strategy!r}")
-        if self.sin_strategy not in SIN_STRATEGIES:
-            raise SchemeError(f"unknown sin_strategy {self.sin_strategy!r}")
-        if self.log_strategy == "pade-one-log" and (
-            self.accel_steps != 2 or self.accel_form != "direct"
-        ):
+        _check_choice("accel_form", self.accel_form, _ACCEL_FORMS)
+        _check_choice("log_strategy", self.log_strategy, _LOG_STRATEGIES)
+        _check_choice("sin_strategy", self.sin_strategy, SIN_STRATEGIES)
+        _check_choice("constants mode", self.constants, CONSTANTS_MODES)
+        one_log = self.log_strategy == "pade-one-log"
+        if one_log and (self.accel_steps, self.accel_form) != (2, "direct"):
             # the trick replaces the second of exactly two direct logs
-            raise SchemeError(
-                "pade-one-log requires accel_steps = 2 and the direct form"
-            )
+            raise SchemeError("pade-one-log requires accel_steps = 2 and the direct form")
         if self.starter not in SINE_STARTERS and self.sin_strategy != "exact":
             raise SchemeError(
                 f"starter {self.starter} contains no sine; sin_strategy must be exact"
             )
+        if not self.transformed and self.constants != "published":
+            raise SchemeError(f"{self.id} has no transformed step; constants must be published")
+
+    @property
+    def transformed(self) -> bool:
+        """Whether the scheme takes transformed acceleration steps."""
+        return self.accel_steps > 0 and self.accel_form == "transformed"
 
 
 def _build_registry():
@@ -216,12 +228,14 @@ def scheme_ids() -> tuple:
     return tuple(REGISTRY)
 
 
-def get_scheme(scheme_id: str) -> SchemeSpec:
-    """Resolve a scheme id.
+def get_scheme(scheme_id) -> SchemeSpec:
+    """Resolve a scheme id; a SchemeSpec is returned as it is.
 
     Raises:
         RegistryError: id not registered.
     """
+    if isinstance(scheme_id, SchemeSpec):
+        return scheme_id
     try:
         return REGISTRY[scheme_id]
     except KeyError:
@@ -230,7 +244,43 @@ def get_scheme(scheme_id: str) -> SchemeSpec:
         ) from None
 
 
-def _recipe(spec, re, rel_rough, sine, constants):
+def variant(spec, sin_strategy: str = "exact", constants: str = "published") -> SchemeSpec:
+    """A scheme (spec or registered id) with a sine strategy and a
+    constants mode applied, under an id that names them: ``eq6a-sinpade``
+    for a kernel sine in a sine-bearing starter, ``eq2a1-t-exact`` for
+    full-precision constants in a transformed step. A setting with no
+    effect on the scheme leaves it as it is. Raises SchemeError for an
+    unknown strategy or mode."""
+    spec = get_scheme(spec)
+    _check_choice("sin_strategy", sin_strategy, SIN_STRATEGIES)
+    _check_choice("constants mode", constants, CONSTANTS_MODES)
+    sid, changes = spec.id, {}
+    if sin_strategy != "exact" and spec.starter in SINE_STARTERS:
+        sid += f"-sin{sin_strategy}"
+        changes["sin_strategy"] = sin_strategy
+    if constants != "published" and spec.transformed:
+        sid += f"-{constants}"
+        changes["constants"] = constants
+    return replace(spec, id=sid, **changes) if changes else spec
+
+
+def _check_inputs(spec, re_min, rough_min):
+    """Raise DomainError unless the smallest Re and eps/D of a scheme's
+    inputs (two floats for one point) meet its preconditions: eps/D at
+    least the smooth floor for a normalized starter, Re > 1 for eq3
+    (a = log10 Re must be positive), eps/D > 0 for a transformed step."""
+    if spec.starter != "eq2" and rough_min < MIN_NORMALIZED_ROUGH:
+        raise DomainError(
+            f"normalized starters require rel_rough >= {MIN_NORMALIZED_ROUGH}, "
+            f"got {rough_min}"
+        )
+    if spec.starter == "eq3" and not re_min > 1.0:
+        raise DomainError(f"starter eq3 requires a = log10(Re) > 0, got re={re_min}")
+    if spec.transformed and not rough_min > 0.0:
+        raise DomainError("transformed acceleration undefined for rel_rough = 0")
+
+
+def _recipe(spec, re, rel_rough, sine):
     """The scheme's arithmetic: normalization, starter, then the
     acceleration steps or the one-log step.
 
@@ -250,8 +300,8 @@ def _recipe(spec, re, rel_rough, sine, constants):
             x = _SINE_STARTER_FNS[spec.starter](a, b, sin=sine)
     if spec.log_strategy == "pade-one-log":
         return kernels.one_log_second_iteration_raw(re, rel_rough, x)[0]
-    if spec.accel_steps and spec.accel_form == "transformed":
-        c1, c2 = transformed_constants(constants)
+    if spec.transformed:
+        c1, c2 = _TRANSFORMED_CONSTANTS[spec.constants]
         if b is None:
             b = -np.log10(rel_rough)
         for _ in range(spec.accel_steps):
@@ -262,60 +312,44 @@ def _recipe(spec, re, rel_rough, sine, constants):
     return x
 
 
-def evaluate_scheme(spec, point: FlowPoint, constants: str = "published") -> FrictionIterate:
+def evaluate_scheme(spec, point: FlowPoint) -> FrictionIterate:
     """Run a scheme at one point: starter, then acceleration steps.
 
-    Runs the recipe of ``evaluate_scheme_raw`` on Python floats, so the
-    result equals the vector path's bit for bit.
+    Runs the check and the recipe of ``evaluate_scheme_raw`` on Python
+    floats, so the result equals the vector path's bit for bit.
 
     Args:
         spec: a SchemeSpec or a registered scheme id.
         point: flow conditions satisfying the starter's preconditions.
-        constants: constants mode for transformed steps.
 
     Returns:
         The final iterate; its step equals the scheme's accel_steps.
 
     Raises:
-        DomainError: rel_rough below the smooth floor for a normalized
-            starter, Re <= 1 for eq3 (a = log10 Re must be positive),
-            rel_rough = 0 for a transformed step, or a result that is
+        DomainError: the point fails ``_check_inputs``, or the result is
             not positive and finite.
     """
-    if isinstance(spec, str):
-        spec = get_scheme(spec)
+    spec = get_scheme(spec)
     re, rel_rough = float(point.re), float(point.rel_rough)
-    if spec.starter != "eq2" and rel_rough < MIN_NORMALIZED_ROUGH:
-        raise DomainError(
-            f"normalized starters require rel_rough >= {MIN_NORMALIZED_ROUGH}, "
-            f"got {rel_rough}"
-        )
-    if spec.starter == "eq3" and not re > 1.0:
-        raise DomainError(f"starter eq3 requires a = log10(Re) > 0, got re={re}")
-    if spec.accel_steps and spec.accel_form == "transformed" and not rel_rough > 0.0:
-        raise DomainError("transformed acceleration undefined for rel_rough = 0")
-    x = _recipe(spec, re, rel_rough, _POINT_SINES[spec.sin_strategy], constants)
+    _check_inputs(spec, re, rel_rough)
+    x = _recipe(spec, re, rel_rough, _POINT_SINES[spec.sin_strategy])
     return FrictionIterate(float(x), step=spec.accel_steps)
 
 
-def evaluate_scheme_raw(spec, re, rel_rough, constants: str = "published"):
+def evaluate_scheme_raw(spec, re, rel_rough):
     """Vectorized scheme evaluation over arrays of (Re, eps/D).
 
     Returns:
         (x, sine_fallbacks): final x array and the count of sine-kernel
         arguments that fell outside the accuracy window and used the
         exact sine instead.
+
+    Raises:
+        DomainError: the smallest Re or eps/D fails ``_check_inputs``.
     """
-    if isinstance(spec, str):
-        spec = get_scheme(spec)
+    spec = get_scheme(spec)
     re = np.asarray(re, dtype=float)
     rel_rough = np.asarray(rel_rough, dtype=float)
-    if spec.starter != "eq2" and np.any(rel_rough < MIN_NORMALIZED_ROUGH):
-        raise DomainError(
-            "normalized starters require rel_rough >= "
-            f"{MIN_NORMALIZED_ROUGH} everywhere"
-        )
-    if spec.accel_steps and spec.accel_form == "transformed" and np.any(rel_rough <= 0.0):
-        raise DomainError("transformed acceleration undefined for rel_rough = 0")
+    _check_inputs(spec, re.min(initial=np.inf), rel_rough.min(initial=np.inf))
     sine, count = _make_sine(spec.sin_strategy)
-    return _recipe(spec, re, rel_rough, sine, constants), count()
+    return _recipe(spec, re, rel_rough, sine), count()

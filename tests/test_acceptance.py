@@ -144,7 +144,7 @@ def test_c5_transformed_equivalence():
     x0, _ = schemes.evaluate_scheme_raw(schemes.get_scheme("eq2"), re, rough)
     direct = core.colebrook_rhs_raw(re, rough, x0)
     exact_t, _ = schemes.evaluate_scheme_raw(
-        schemes.get_scheme("eq2a1-t"), re, rough, constants="exact")
+        schemes.variant("eq2a1-t", constants="exact"), re, rough)
     pub_t, _ = schemes.evaluate_scheme_raw(schemes.get_scheme("eq2a1-t"), re, rough)
     dev_exact = float(np.max(np.abs(exact_t - direct) / direct))
     dev_pub = float(np.max(np.abs(pub_t - direct) / direct))

@@ -128,6 +128,14 @@ class TestSolve:
         assert x_pub != x_exact
         assert x_pub == pytest.approx(x_exact, rel=1e-4)
 
+    def test_exact_constants_variant_has_its_own_id(self, capsys):
+        rc, out, _ = run(capsys, "solve", "--re", "1e5", "--rough", "1e-4",
+                         "--scheme", "eq2a1-t", "--scheme", "eq2a1",
+                         "--constants", "exact", "--json")
+        assert rc == 0
+        ids = [r["scheme"] for r in json.loads(out)["results"]]
+        assert ids == ["eq2a1-t-exact", "eq2a1"]
+
 
 class TestScan:
     def test_summary_line(self, capsys):
@@ -182,6 +190,13 @@ class TestScan:
                          "--sin", "pade", "--json")
         assert rc == 0
         assert json.loads(out)["scheme"] == "eq2a2"
+
+    def test_exact_constants_variant_has_its_own_id(self, capsys):
+        for constants, want in (("published", "eq2a1-t"), ("exact", "eq2a1-t-exact")):
+            rc, out, _ = run(capsys, "scan", "--scheme", "eq2a1-t", "--grid", "6x5",
+                             "--constants", constants, "--json")
+            assert rc == 0
+            assert json.loads(out)["scheme"] == want
 
     def test_sine_fallback_audit_on_stderr(self, capsys):
         rc, out, err = run(capsys, "scan", "--scheme", "eq6a", "--grid", "8x8",
@@ -252,6 +267,27 @@ class TestConfig:
         assert types["re_spacing"] is types["constants"] is str
         assert cli.DEFAULT_SETTINGS["oracle_tol"] == core.DEFAULT_TOL
 
+    @pytest.mark.parametrize("command", ["solve", "scan", "bench"])
+    def test_variant_flags_beat_config_beat_defaults(self, capsys, tmp_path, command):
+        argv = {
+            "solve": ("solve", "--re", "1e5", "--rough", "1e-4", "--scheme", "eq6a-t"),
+            "scan": ("scan", "--scheme", "eq6a-t", "--grid", "5x4"),
+            "bench": ("bench", "--scheme", "eq6a-t", "--batch", "64", "--reps", "3"),
+        }[command]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sin_strategy = pade\nconstants = exact\n")
+
+        def scheme_id(*extra):
+            rc, out, _ = run(capsys, *argv, *extra, "--json")
+            assert rc == 0
+            doc = json.loads(out)
+            return doc["scheme"] if command == "scan" else doc["results"][0]["scheme"]
+
+        assert scheme_id() == "eq6a-t"
+        assert scheme_id("--config", str(cfg)) == "eq6a-t-sinpade-exact"
+        assert scheme_id("--config", str(cfg), "--sin", "quintic",
+                         "--constants", "published") == "eq6a-t-sinquintic"
+
     def test_out_dir_prefixes_relative_outputs(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"out_dir = {tmp_path}\n")
@@ -316,6 +352,15 @@ class TestTable1:
         assert lines[0] == "scheme,n_log,measured_max_pct,published_max_pct"
         assert len(lines) == 9
 
+    def test_rejects_a_kernel_sine(self, capsys, tmp_path):
+        # the rows are the published schemes, which use the exact sine
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sin_strategy = pade\n")
+        rc, out, err = run(capsys, "table1", "--grid", "4x3", "--config", str(cfg))
+        assert rc == 1
+        assert out == ""
+        assert "sin_strategy" in err
+
 
 class TestBench:
     def test_json_smoke(self, capsys):
@@ -332,6 +377,15 @@ class TestBench:
                          "--reps", "3")
         assert rc == 0
         assert out.splitlines()[1].split()[0] == "eq6a"
+
+    def test_config_sine_strategy_is_applied(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sin_strategy = pade\n")
+        rc, out, _ = run(capsys, "bench", "--scheme", "eq6a", "--config", str(cfg),
+                         "--batch", "64", "--reps", "3", "--json")
+        assert rc == 0
+        (res,) = json.loads(out)["results"]
+        assert (res["scheme"], res["n_sin"], res["n_div"]) == ("eq6a-sinpade", 0, 3)
 
 
 class TestGridCommand:

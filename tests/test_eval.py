@@ -1,7 +1,6 @@
 """Mesh scans, quasi-random sampling, exports, and the cost model."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,9 +141,7 @@ class TestStats:
         specs = [schemes.get_scheme(sid) for sid in schemes.scheme_ids()]
         for sid in ("eq4a", "eq5a", "eq6a"):
             for kernel in ("pade", "quintic"):
-                specs.append(replace(
-                    schemes.get_scheme(sid), id=f"{sid}-sin{kernel}", sin_strategy=kernel
-                ))
+                specs.append(schemes.variant(sid, sin_strategy=kernel))
         res = evaluation.scan_many(specs, grid=evaluation.GridSpec(n_re=120, n_rough=120))
         assert len(res) == 24
         for sid, (em, st) in res.items():
@@ -196,6 +193,15 @@ class TestScan:
         g = evaluation.GridSpec(n_re=5, n_rough=5, rough_max=10)
         with pytest.raises(core.DomainError, match=r"not positive at \(re=4000.0, rel_rough=10.0\)"):
             evaluation.scan_errors("eq2a2", grid=g, workers=workers)
+
+    def test_constants_variants_are_keyed_apart(self):
+        pub = schemes.get_scheme("eq2a1-t")
+        exact = schemes.variant(pub, constants="exact")
+        res = evaluation.scan_many([pub, exact], grid=SMALL)
+        assert list(res) == ["eq2a1-t", "eq2a1-t-exact"]
+        assert res["eq2a1-t"][1] != res["eq2a1-t-exact"][1]
+        assert np.array_equal(res["eq2a1-t-exact"][0].lambda_approx,
+                              evaluation.scan_errors(exact, grid=SMALL)[0].lambda_approx)
 
     def test_scan_rejects_unknown_scheme(self):
         with pytest.raises(schemes.RegistryError):
@@ -401,10 +407,9 @@ class TestCostModel:
     @pytest.mark.parametrize("sid", ["eq4a", "eq5a", "eq6a"])
     @pytest.mark.parametrize("strategy,n_div", [("pade", 3), ("quintic", 5)])
     def test_kernel_sine_counts_its_divisions(self, sid, strategy, n_div):
-        # built as the CLI builds a kernel variant; the kernel replaces
-        # the one sine and brings its own divisions (one Pade, three quintic)
-        spec = replace(schemes.get_scheme(sid), id=f"{sid}-sin{strategy}",
-                       sin_strategy=strategy)
+        # the kernel replaces the one sine and brings its own divisions
+        # (one Pade, three quintic)
+        spec = schemes.variant(sid, sin_strategy=strategy)
         c = evaluation.cost_profile(spec)
         assert (c.scheme_id, c.n_log, c.n_sin, c.n_div) == (spec.id, 3, 0, n_div)
 

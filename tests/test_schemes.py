@@ -25,14 +25,17 @@ REQUIRED_IDS = {
 }
 
 
+TRANSFORMED_IDS = ("eq2a1-t", "eq2a2-t", "eq3a-t", "eq4a-t", "eq5a-t", "eq6a-t")
+
+
 def _sweep_variants():
-    # the 18 registry schemes plus eq4a/eq5a/eq6a with each rational sine
+    # the 18 registry schemes, eq4a/eq5a/eq6a with each rational sine, and
+    # the transformed schemes with exact constants
     specs = [schemes.get_scheme(sid) for sid in schemes.scheme_ids()]
     for sid in ("eq4a", "eq5a", "eq6a"):
         for kernel in ("pade", "quintic"):
-            specs.append(replace(
-                schemes.get_scheme(sid), id=f"{sid}-sin{kernel}", sin_strategy=kernel
-            ))
+            specs.append(schemes.variant(sid, sin_strategy=kernel))
+    specs += [schemes.variant(sid, constants="exact") for sid in TRANSFORMED_IDS]
     return specs
 
 
@@ -151,7 +154,7 @@ class TestTransformedForm:
     def test_exact_constants_recover_direct_step(self):
         p = core.FlowPoint(1e5, 1e-4)
         direct = schemes.evaluate_scheme("eq2a1", p)
-        transformed = schemes.evaluate_scheme("eq2a1-t", p, constants="exact")
+        transformed = schemes.evaluate_scheme(schemes.variant("eq2a1-t", constants="exact"), p)
         assert transformed.x == pytest.approx(direct.x, rel=1e-13)
 
     def test_needs_roughness(self):
@@ -164,8 +167,7 @@ class TestRegistry:
         assert REQUIRED_IDS <= set(schemes.scheme_ids())
 
     def test_transformed_variants_present(self):
-        ids = set(schemes.scheme_ids())
-        assert {"eq2a1-t", "eq2a2-t", "eq3a-t", "eq4a-t", "eq5a-t", "eq6a-t"} <= ids
+        assert set(TRANSFORMED_IDS) <= set(schemes.scheme_ids())
 
     def test_ids_and_specs_agree(self):
         for sid in schemes.scheme_ids():
@@ -188,6 +190,17 @@ class TestRegistry:
         with pytest.raises(schemes.SchemeError):
             schemes.SchemeSpec(id="x", starter="eq6", accel_steps=2,
                                accel_form="transformed", log_strategy="pade-one-log")
+
+    def test_constants_mode_checked(self):
+        with pytest.raises(schemes.SchemeError, match="constants mode"):
+            schemes.SchemeSpec(id="x", starter="eq2", accel_steps=1,
+                               accel_form="transformed", constants="fast")
+        # only a transformed step reads the constants
+        with pytest.raises(schemes.SchemeError, match="no transformed step"):
+            schemes.SchemeSpec(id="x", starter="eq2", accel_steps=1, constants="exact")
+        spec = schemes.SchemeSpec(id="x", starter="eq2", accel_steps=1,
+                                  accel_form="transformed", constants="exact")
+        assert spec.transformed and spec.constants == "exact"
 
     def test_table_row_ids(self):
         assert schemes.TABLE1_ROW_IDS == (
@@ -223,8 +236,21 @@ class TestEvaluateScheme:
     def test_transformed_variant_tracks_direct(self):
         p = core.FlowPoint(2e6, 3e-3)
         direct = schemes.evaluate_scheme("eq6a", p)
-        trans = schemes.evaluate_scheme("eq6a-t", p, constants="exact")
+        trans = schemes.evaluate_scheme(schemes.variant("eq6a-t", constants="exact"), p)
         assert trans.x == pytest.approx(direct.x, rel=1e-12)
+
+    @pytest.mark.parametrize("sid", ["eq3", "eq3a", "eq3a-t"])
+    def test_eq3_family_rejects_re_at_most_one_on_both_paths(self, sid):
+        # a = log10(Re) is 0 at Re = 1 and the starter divides by it
+        with pytest.raises(core.DomainError, match="a = log10"):
+            schemes.evaluate_scheme_raw(sid, [1.0, 0.5], [1e-4, 1e-4])
+        for re in (1.0, 0.5):
+            with pytest.raises(core.DomainError, match="a = log10"):
+                schemes.evaluate_scheme(sid, core.FlowPoint(re, 1e-4, out_of_domain_ok=True))
+
+    def test_raw_path_takes_empty_arrays(self):
+        x, fallbacks = schemes.evaluate_scheme_raw("eq3a-t", [], [])
+        assert x.size == 0 and fallbacks == 0
 
     @pytest.mark.parametrize("spec", SWEEP_VARIANTS, ids=lambda spec: spec.id)
     def test_scalar_equals_raw_bit_for_bit(self, spec):
@@ -245,6 +271,32 @@ class TestEvaluateScheme:
             it = schemes.evaluate_scheme(spec, core.FlowPoint(re, rr))
             assert it.x == x, (spec.id, re, rr)
             assert it.step == spec.accel_steps
+
+
+class TestVariant:
+    def test_ids_name_the_settings(self):
+        assert schemes.variant("eq6a", "pade") == replace(
+            schemes.get_scheme("eq6a"), id="eq6a-sinpade", sin_strategy="pade")
+        assert schemes.variant("eq2a1-t", constants="exact") == replace(
+            schemes.get_scheme("eq2a1-t"), id="eq2a1-t-exact", constants="exact")
+        both = schemes.variant(schemes.get_scheme("eq6a-t"), "quintic", "exact")
+        assert (both.id, both.sin_strategy, both.constants) == (
+            "eq6a-t-sinquintic-exact", "quintic", "exact")
+
+    def test_settings_without_effect_keep_the_spec(self):
+        for sid in schemes.scheme_ids():
+            assert schemes.variant(sid) is schemes.get_scheme(sid)
+        # eq2a2 has no sine and no transformed step; eq6a no transformed step
+        assert schemes.variant("eq2a2", "pade", "exact") is schemes.get_scheme("eq2a2")
+        assert schemes.variant("eq6a", "exact", "exact") is schemes.get_scheme("eq6a")
+
+    def test_unknown_settings_rejected(self):
+        with pytest.raises(schemes.SchemeError, match="sin_strategy"):
+            schemes.variant("eq2", "cordic")
+        with pytest.raises(schemes.SchemeError, match="constants mode"):
+            schemes.variant("eq2", constants="fast")
+        with pytest.raises(schemes.RegistryError):
+            schemes.variant("eq99")
 
 
 class TestSineStrategies:
