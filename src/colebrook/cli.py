@@ -24,7 +24,6 @@ EXIT_IO = 4
 
 DEFAULT_SETTINGS = {
     **{f.name: f.default for f in fields(evaluation.GridSpec)},
-    "oracle_tol": core.DEFAULT_TOL,
     "sin_strategy": "exact",
     "constants": "published",
     "out_dir": ".",
@@ -109,7 +108,7 @@ def _out_path(settings, path):
 
 def _cmd_solve(args, settings):
     point = core.FlowPoint(args.re, args.rough, out_of_domain_ok=True)
-    oracle = core.solve_colebrook_exact(point, tol=settings["oracle_tol"])
+    oracle = core.solve_colebrook_exact(point)
     lam_oracle = oracle.iterate.lam
     results = []
     for sid in args.scheme or ["colebrook"]:
@@ -157,9 +156,7 @@ def _cmd_solve(args, settings):
 def _cmd_scan(args, settings):
     grid = _grid_from(settings)
     spec = _spec(args.scheme, settings)
-    errmap, stats = evaluation.scan_errors(
-        spec, grid=grid, oracle_tol=settings["oracle_tol"], workers=args.workers
-    )
+    errmap, stats = evaluation.scan_errors(spec, grid=grid, workers=args.workers)
     csv_path = heatmap_path = None
     if args.out:
         csv_path = _out_path(settings, args.out)
@@ -200,9 +197,7 @@ def _cmd_table1(args, settings):
             f"got {settings['sin_strategy']!r}"
         )
     grid = _grid_from(settings)
-    rows = evaluation.table1_rows(
-        grid=grid, oracle_tol=settings["oracle_tol"], workers=args.workers
-    )
+    rows = evaluation.table1_rows(grid=grid, workers=args.workers)
     if args.csv:
         path = _out_path(settings, args.csv)
         with open(path, "w", encoding="utf-8", newline="") as f:

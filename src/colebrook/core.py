@@ -298,9 +298,13 @@ def normalize(point: FlowPoint) -> NormalizedPoint:
     return NormalizedPoint(float(np.log10(point.re)), float(-np.log10(point.rel_rough)))
 
 
-def relative_error_pct_raw(lambda_accurate, lambda_approx):
-    """(|lambda_accurate - lambda_approx| / lambda_accurate) * 100, vectorized."""
-    return np.abs(lambda_accurate - lambda_approx) / lambda_accurate * 100.0
+def relative_error_pct_raw(lambda_accurate, lambda_approx, out=None):
+    """(|lambda_accurate - lambda_approx| / lambda_accurate) * 100 over
+    arrays, computed in place in one buffer: ``out``, or a new array."""
+    out = np.subtract(lambda_accurate, lambda_approx, out=out)
+    np.abs(out, out=out)
+    np.divide(out, lambda_accurate, out=out)
+    return np.multiply(out, 100.0, out=out)
 
 
 def relative_error_pct(lambda_accurate: float, lambda_approx: float) -> float:

@@ -292,11 +292,7 @@ def stats_of(errmap: ErrorMap) -> ErrorStats:
             f"{np.count_nonzero(np.isnan(err))} of {n} points are NaN"
         )
     ties = np.flatnonzero(err == max_pct)
-    if ties.size > 1:
-        order = np.lexsort((errmap.rel_rough[ties], errmap.re[ties]))
-        i = int(ties[order[0]])
-    else:
-        i = int(ties[0])
+    i = int(ties[np.lexsort((errmap.rel_rough[ties], errmap.re[ties]))[0]])
     mean_pct = exact_sum(err) / n
     rank = max(1, math.ceil(0.99 * n))  # nearest-rank definition
     p99_pct = float(np.partition(err, rank - 1)[rank - 1])
@@ -309,36 +305,15 @@ def stats_of(errmap: ErrorMap) -> ErrorStats:
     )
 
 
-def _scan_chunk(spec_list, re_c, rough_c, oracle_tol):
-    x0 = core.oracle_start_raw(re_c, rough_c)
-    x_ref, _, _, converged = core.solve_colebrook_raw(re_c, rough_c, x0, tol=oracle_tol)
-    if not converged.all():
-        j = int(np.flatnonzero(~converged)[0])
-        raise core.ConvergenceError(
-            f"oracle did not converge at (re={re_c[j]}, rel_rough={rough_c[j]})",
-            last_x=float(x_ref[j]),
-        )
-    # from eps/D = 3.71 up the fixed point is not positive; lambda =
-    # x**-2 of it is not a friction factor
-    nonphysical = np.flatnonzero(x_ref <= 0.0)
-    if nonphysical.size:
-        j = int(nonphysical[0])
-        raise core.DomainError(
-            f"oracle root x={x_ref[j]} is not positive at "
-            f"(re={re_c[j]}, rel_rough={rough_c[j]})"
-        )
-    lam_ref = x_ref ** -2.0
-    per_scheme = []
-    for spec in spec_list:
-        x_a, nfb = schemes.evaluate_scheme_raw(spec, re_c, rough_c)
-        lam_a = x_a ** -2.0
-        per_scheme.append((lam_a, core.relative_error_pct_raw(lam_ref, lam_a), nfb))
-    return lam_ref, per_scheme
-
-
-def scan_many(scheme_ids, grid=None, oracle_tol=core.DEFAULT_TOL, workers=1):
+def scan_many(scheme_ids, grid=None, workers=1):
     """Scan several schemes (ids or specs) over one mesh, solving the
     oracle once.
+
+    The outputs are allocated once: the oracle lambda and, per scheme,
+    a block whose two rows are its lambda and error maps. Each worker,
+    the caller itself for one slice or a pool thread, fills its
+    contiguous slice of them in place and returns only its
+    sine-fallback counts.
 
     Returns:
         dict spec id -> (ErrorMap, ErrorStats); variants of one scheme
@@ -349,49 +324,64 @@ def scan_many(scheme_ids, grid=None, oracle_tol=core.DEFAULT_TOL, workers=1):
     grid = DEFAULT_GRID if grid is None else grid
     spec_list = [schemes.get_scheme(s) for s in scheme_ids]
     re_flat, rough_flat = _flat_mesh(grid)
+    lam_ref = np.empty(grid.size)
+    # blocks[k] holds spec k's (lambda_approx, rel_err_pct) rows; one block
+    # for all schemes measured slower, as it is paged in afresh every scan
+    blocks = [np.empty((2, grid.size)) for _ in spec_list]
+
+    def fill(lo, hi):
+        re_c, rough_c = re_flat[lo:hi], rough_flat[lo:hi]
+        x0 = core.oracle_start_raw(re_c, rough_c)
+        x_ref, _, _, converged = core.solve_colebrook_raw(re_c, rough_c, x0)
+        if not converged.all():
+            j = int(np.flatnonzero(~converged)[0])
+            raise core.ConvergenceError(
+                f"oracle did not converge at (re={re_c[j]}, rel_rough={rough_c[j]})",
+                last_x=float(x_ref[j]),
+            )
+        # from eps/D = 3.71 up the fixed point is not positive; lambda =
+        # x**-2 of it is not a friction factor
+        nonphysical = np.flatnonzero(x_ref <= 0.0)
+        if nonphysical.size:
+            j = int(nonphysical[0])
+            raise core.DomainError(
+                f"oracle root x={x_ref[j]} is not positive at "
+                f"(re={re_c[j]}, rel_rough={rough_c[j]})"
+            )
+        lam_ref_c = np.power(x_ref, -2.0, out=lam_ref[lo:hi])
+        fallbacks = []
+        for spec, block in zip(spec_list, blocks):
+            lam_a, err = block[:, lo:hi]
+            x_a, nfb = schemes.evaluate_scheme_raw(spec, re_c, rough_c)
+            np.power(x_a, -2.0, out=lam_a)
+            core.relative_error_pct_raw(lam_ref_c, lam_a, out=err)
+            fallbacks.append(nfb)
+        return fallbacks
+
     parts = min(workers, grid.size)
     bounds = [grid.size * k // parts for k in range(parts + 1)]
-    chunks = list(zip(bounds[:-1], bounds[1:]))
-
-    def work(chunk):
-        lo, hi = chunk
-        return _scan_chunk(spec_list, re_flat[lo:hi], rough_flat[lo:hi], oracle_tol)
-
-    if workers == 1:
-        results = [work(chunk) for chunk in chunks]
+    if parts == 1:
+        counts = [fill(0, grid.size)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, chunks))
+        with ThreadPoolExecutor(max_workers=parts) as pool:
+            counts = list(pool.map(fill, bounds[:-1], bounds[1:]))
 
-    # one chunk's arrays are the result as they are; copy only to join
-    join = np.concatenate if len(results) > 1 else (lambda parts: parts[0])
-    lam_ref = join([r[0] for r in results])
     out = {}
     for k, spec in enumerate(spec_list):
-        lam_a = join([r[1][k][0] for r in results])
-        err = join([r[1][k][1] for r in results])
-        nfb = sum(r[1][k][2] for r in results)
-        errmap = ErrorMap(
-            grid=grid,
-            re=re_flat,
-            rel_rough=rough_flat,
-            lambda_ref=lam_ref,
-            lambda_approx=lam_a,
-            rel_err_pct=err,
-            sine_fallbacks=nfb,
-        )
+        nfb = sum(c[k] for c in counts)
+        errmap = ErrorMap(grid, re_flat, rough_flat, lam_ref, *blocks[k], sine_fallbacks=nfb)
         out[spec.id] = (errmap, stats_of(errmap))
     return out
 
 
-def scan_errors(scheme_id, grid=None, oracle_tol=core.DEFAULT_TOL, workers=1):
+def scan_errors(scheme_id, grid=None, workers=1):
     """Scan one scheme against the oracle over a mesh.
 
     Returns:
         (ErrorMap, ErrorStats); deterministic for any worker count.
     """
     spec = schemes.get_scheme(scheme_id)
-    return scan_many([spec], grid=grid, oracle_tol=oracle_tol, workers=workers)[spec.id]
+    return scan_many([spec], grid=grid, workers=workers)[spec.id]
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +508,10 @@ PUBLISHED_MAX_PCT = {
 }
 
 
-def table1_rows(grid=None, oracle_tol=core.DEFAULT_TOL, workers=1):
+def table1_rows(grid=None, workers=1):
     """Accuracy-vs-complexity rows: measured and published maxima plus
     the recipe's log count, in the fixed row order."""
-    scans = scan_many(
-        schemes.TABLE1_ROW_IDS, grid=grid, oracle_tol=oracle_tol, workers=workers
-    )
+    scans = scan_many(schemes.TABLE1_ROW_IDS, grid=grid, workers=workers)
     rows = []
     for sid in schemes.TABLE1_ROW_IDS:
         _, stats = scans[sid]
@@ -550,9 +538,9 @@ def table1_text(rows) -> str:
     return "\n".join(lines)
 
 
-def table1_report(grid=None, oracle_tol=core.DEFAULT_TOL, workers=1) -> str:
+def table1_report(grid=None, workers=1) -> str:
     """The eight-row accuracy-vs-complexity table as aligned text."""
-    return table1_text(table1_rows(grid=grid, oracle_tol=oracle_tol, workers=workers))
+    return table1_text(table1_rows(grid=grid, workers=workers))
 
 
 # ---------------------------------------------------------------------------

@@ -264,11 +264,19 @@ def variant(spec, sin_strategy: str = "exact", constants: str = "published") -> 
     return replace(spec, id=sid, **changes) if changes else spec
 
 
-def _check_inputs(spec, re_min, rough_min):
-    """Raise DomainError unless the smallest Re and eps/D of a scheme's
-    inputs (two floats for one point) meet its preconditions: eps/D at
-    least the smooth floor for a normalized starter, Re > 1 for eq3
-    (a = log10 Re must be positive), eps/D > 0 for a transformed step."""
+def _check_inputs(spec, re_min, re_max, rough_min, rough_max):
+    """Raise DomainError unless the extremes of a scheme's Re and eps/D
+    (one point's values, twice) are finite with Re > 0 and eps/D >= 0, as
+    in ``FlowPoint``, and meet the scheme's preconditions: eps/D at least
+    the smooth floor for a normalized starter, Re > 1 for eq3 (a = log10
+    Re must be positive), eps/D > 0 for a transformed step. A NaN makes
+    both extremes NaN."""
+    if not 0.0 < re_min <= re_max < math.inf:
+        raise DomainError(f"re must be positive and finite, got values in [{re_min}, {re_max}]")
+    if not 0.0 <= rough_min <= rough_max < math.inf:
+        raise DomainError(
+            f"rel_rough must be non-negative and finite, got values in [{rough_min}, {rough_max}]"
+        )
     if spec.starter != "eq2" and rough_min < MIN_NORMALIZED_ROUGH:
         raise DomainError(
             f"normalized starters require rel_rough >= {MIN_NORMALIZED_ROUGH}, "
@@ -331,7 +339,7 @@ def evaluate_scheme(spec, point: FlowPoint) -> FrictionIterate:
     """
     spec = get_scheme(spec)
     re, rel_rough = float(point.re), float(point.rel_rough)
-    _check_inputs(spec, re, rel_rough)
+    _check_inputs(spec, re, re, rel_rough, rel_rough)
     x = _recipe(spec, re, rel_rough, _POINT_SINES[spec.sin_strategy])
     return FrictionIterate(float(x), step=spec.accel_steps)
 
@@ -345,11 +353,12 @@ def evaluate_scheme_raw(spec, re, rel_rough):
         exact sine instead.
 
     Raises:
-        DomainError: the smallest Re or eps/D fails ``_check_inputs``.
+        DomainError: the extremes of Re or eps/D fail ``_check_inputs``.
     """
     spec = get_scheme(spec)
     re = np.asarray(re, dtype=float)
     rel_rough = np.asarray(rel_rough, dtype=float)
-    _check_inputs(spec, re.min(initial=np.inf), rel_rough.min(initial=np.inf))
+    if re.size and rel_rough.size:
+        _check_inputs(spec, re.min(), re.max(), rel_rough.min(), rel_rough.max())
     sine, count = _make_sine(spec.sin_strategy)
     return _recipe(spec, re, rel_rough, sine), count()

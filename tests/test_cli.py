@@ -262,10 +262,9 @@ class TestConfig:
     def test_defaults_keep_their_cast_types(self):
         # load_config casts a value with the type of its default
         types = {k: type(v) for k, v in cli.DEFAULT_SETTINGS.items()}
-        assert types["re_min"] is types["rough_max"] is types["oracle_tol"] is float
+        assert types["re_min"] is types["rough_max"] is float
         assert types["n_re"] is types["n_rough"] is int
         assert types["re_spacing"] is types["constants"] is str
-        assert cli.DEFAULT_SETTINGS["oracle_tol"] == core.DEFAULT_TOL
 
     @pytest.mark.parametrize("command", ["solve", "scan", "bench"])
     def test_variant_flags_beat_config_beat_defaults(self, capsys, tmp_path, command):

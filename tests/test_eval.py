@@ -1,6 +1,8 @@
 """Mesh scans, quasi-random sampling, exports, and the cost model."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,12 +176,43 @@ class TestScan:
     def test_worker_count_does_not_change_anything(self):
         # odd point count so chunks are ragged
         g = evaluation.GridSpec(n_re=23, n_rough=7)
-        base, st1 = evaluation.scan_errors("eq6a", grid=g, workers=1)
-        for workers in (2, 5, 8):
-            em, st = evaluation.scan_errors("eq6a", grid=g, workers=workers)
-            assert np.array_equal(em.rel_err_pct, base.rel_err_pct)
-            assert np.array_equal(em.lambda_ref, base.lambda_ref)
-            assert st == st1
+        specs = ["eq6a", schemes.variant("eq6a", "pade"), "eq2a2-pade"]
+        base = evaluation.scan_many(specs, grid=g, workers=1)
+        assert base["eq6a-sinpade"][0].sine_fallbacks > 0
+        # frequent thread switches interleave the workers' writes
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = {w: evaluation.scan_many(specs, grid=g, workers=w) for w in (2, 5, 8)}
+        finally:
+            sys.setswitchinterval(interval)
+        for workers, res in results.items():
+            assert list(res) == list(base)
+            for sid, (em, st) in res.items():
+                base_em, base_st = base[sid]
+                for name in ("lambda_ref", "lambda_approx", "rel_err_pct"):
+                    assert getattr(em, name).tobytes() == getattr(base_em, name).tobytes(), (
+                        sid, workers, name)
+                assert em.sine_fallbacks == base_em.sine_fallbacks
+                assert st == base_st
+
+    def test_workers_fill_the_returned_arrays_in_place(self):
+        # per-worker results joined into the outputs would hold the
+        # outputs' bytes twice at the peak
+        g = evaluation.GridSpec(n_re=200, n_rough=150)
+        tracemalloc.start()
+        try:
+            res = evaluation.scan_many(schemes.TABLE1_ROW_IDS, grid=g, workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = {
+            id(a): a
+            for em, _ in res.values()
+            for a in (em.re, em.rel_rough, em.lambda_ref, em.lambda_approx, em.rel_err_pct)
+        }
+        returned = sum(a.nbytes for a in arrays.values())
+        assert peak < 2 * returned, peak / returned
 
     def test_scan_many_shares_one_oracle(self):
         res = evaluation.scan_many(["eq2", "eq2a1"], grid=SMALL)

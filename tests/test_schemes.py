@@ -248,6 +248,23 @@ class TestEvaluateScheme:
             with pytest.raises(core.DomainError, match="a = log10"):
                 schemes.evaluate_scheme(sid, core.FlowPoint(re, 1e-4, out_of_domain_ok=True))
 
+    @pytest.mark.parametrize("sid", ["eq2a2", "eq6a", "eq3a-t"])
+    @pytest.mark.parametrize("re, rough, message", [
+        (np.nan, 1e-4, r"re must be positive and finite, got values in \[nan, nan\]"),
+        (np.inf, 1e-4, r"re must be positive and finite, got values in \[100000.0, inf\]"),
+        (1e5, np.nan, r"rel_rough must be non-negative and finite, got values in \[nan"),
+        (1e5, -np.inf, r"rel_rough must be non-negative and finite, got values in \[-inf"),
+        (0.0, 1e-4, r"re must be positive and finite, got values in \[0.0,"),
+        (-1e5, 1e-4, r"re must be positive and finite, got values in \[-100000.0,"),
+        (1e5, -1e-4, r"rel_rough must be non-negative and finite, got values in \[-0.0001,"),
+    ])
+    def test_raw_path_rejects_what_flowpoint_rejects(self, sid, re, rough, message):
+        # the bad value sits beside a good one; the check reads the extremes
+        with pytest.raises(core.DomainError, match=message):
+            schemes.evaluate_scheme_raw(sid, [1e5, re], [1e-4, rough])
+        with pytest.raises(core.DomainError):
+            core.FlowPoint(re, rough, out_of_domain_ok=True)
+
     def test_raw_path_takes_empty_arrays(self):
         x, fallbacks = schemes.evaluate_scheme_raw("eq3a-t", [], [])
         assert x.size == 0 and fallbacks == 0
