@@ -11,10 +11,7 @@ from .core import (
     DomainError,
     FlowPoint,
     FrictionIterate,
-    NormalizedPoint,
     SolveReport,
-    colebrook_rhs,
-    normalize,
     relative_error_pct,
     solve_colebrook_exact,
 )
@@ -31,7 +28,6 @@ from .evaluation import (
     scan_many,
     sobol_2d,
     stats_of,
-    table1_report,
     table1_rows,
 )
 from .kernels import pade_ln, pade_sin, quintic_sin
@@ -53,10 +49,7 @@ __all__ = [
     "DomainError",
     "FlowPoint",
     "FrictionIterate",
-    "NormalizedPoint",
     "SolveReport",
-    "colebrook_rhs",
-    "normalize",
     "relative_error_pct",
     "solve_colebrook_exact",
     "DEFAULT_GRID",
@@ -71,7 +64,6 @@ __all__ = [
     "scan_many",
     "sobol_2d",
     "stats_of",
-    "table1_report",
     "table1_rows",
     "pade_ln",
     "pade_sin",

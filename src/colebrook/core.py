@@ -1,6 +1,5 @@
 """Implicit Colebrook flow-friction equation: domain types, the
-machine-precision reference solver, input normalization, and the
-relative-error metric.
+machine-precision reference solver, and the relative-error metric.
 
 The quantity of interest is x = 1/sqrt(lambda), where lambda is the Darcy
 friction factor. The implicit equation is
@@ -88,18 +87,6 @@ class FlowPoint:
 
 
 @dataclass(frozen=True, slots=True)
-class NormalizedPoint:
-    """Log-normalized coordinates a = log10(Re), b = -log10(eps/D)."""
-
-    a: float
-    b: float
-
-    def denormalize(self) -> FlowPoint:
-        """Invert the normalization; round-trips to <= 1e-12 relative."""
-        return FlowPoint(10.0 ** self.a, 10.0 ** -self.b, out_of_domain_ok=True)
-
-
-@dataclass(frozen=True, slots=True)
 class FrictionIterate:
     """An approximant state x = 1/sqrt(lambda) with its step index.
 
@@ -159,28 +146,6 @@ def oracle_start_raw(re, rel_rough):
     rel_rough = np.asarray(rel_rough, dtype=float)
     in_dom = (re >= RE_MIN) & (re <= RE_MAX) & (rel_rough >= 0.0) & (rel_rough <= ROUGH_MAX)
     return np.where(in_dom, starter_eq2_raw(re, rel_rough), 8.0)
-
-
-def colebrook_rhs(point: FlowPoint, x: float) -> float:
-    """Evaluate -2*log10(2.51*x/Re + (eps/D)/3.71) at a trial x.
-
-    Args:
-        point: flow conditions; rel_rough = 0 (hydraulically smooth) is legal.
-        x: trial value of 1/sqrt(lambda), must be positive.
-
-    Returns:
-        The mapped value; positive for all in-domain inputs.
-
-    Raises:
-        DomainError: non-finite or non-positive x, or a non-positive
-            logarithm argument (cannot occur in-domain).
-    """
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"x must be positive and finite, got {x}")
-    arg = 2.51 * x / point.re + point.rel_rough / 3.71
-    if not (arg > 0.0):
-        raise DomainError(f"logarithm argument {arg} is not positive")
-    return float(colebrook_rhs_raw(point.re, point.rel_rough, x))
 
 
 def solve_colebrook_raw(re, rel_rough, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
@@ -278,24 +243,6 @@ def solve_colebrook_exact(
         residual=res,
         converged=True,
     )
-
-
-def normalize(point: FlowPoint) -> NormalizedPoint:
-    """Map a flow point to (a, b) = (log10(Re), -log10(eps/D)).
-
-    Uses ``np.log10``, so a and b are the values the scheme recipes
-    compute from the same point.
-
-    Raises:
-        DomainError: rel_rough below the practical smooth floor; the
-            normalization is undefined for the smooth limit.
-    """
-    if point.rel_rough < MIN_NORMALIZED_ROUGH:
-        raise DomainError(
-            f"normalization undefined for smooth limit: rel_rough={point.rel_rough} "
-            f"is below the floor {MIN_NORMALIZED_ROUGH}"
-        )
-    return NormalizedPoint(float(np.log10(point.re)), float(-np.log10(point.rel_rough)))
 
 
 def relative_error_pct_raw(lambda_accurate, lambda_approx, out=None):

@@ -15,6 +15,7 @@ computed with whole-array numpy operations (``exact_sum``).
 """
 
 import math
+import operator
 import statistics
 import time
 from collections import Counter
@@ -138,34 +139,31 @@ def sobol_2d(n: int, bounds=None, mapping: str = "uniform"):
     Returns:
         (n, 2) array; mapped columns are (re, rel_rough).
     """
+    n = operator.index(n)
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    pts = np.empty((n, 2))
-    pts[0] = 0.0
-    xi = yi = 0
-    for i in range(1, n):
-        c = (i & -i).bit_length() - 1
-        xi ^= _V1[c]
-        yi ^= _V2[c]
-        pts[i, 0] = xi
-        pts[i, 1] = yi
-    pts *= 2.0 ** -_SOBOL_BITS
+    if mapping not in ("uniform", "log"):
+        raise ConfigError(f"mapping must be 'uniform' or 'log', got {mapping!r}")
+    # point i is the XOR of the direction numbers at its Gray code's set bits
+    i = np.arange(n, dtype=np.uint32)
+    gray = i ^ (i >> 1)
+    xi, yi = np.zeros((2, n), dtype=np.uint32)
+    for j in range((n - 1).bit_length()):
+        has = (gray & (1 << j)) != 0
+        np.bitwise_xor(xi, _V1[j], out=xi, where=has)
+        np.bitwise_xor(yi, _V2[j], out=yi, where=has)
+    u, v = xi * 2.0 ** -_SOBOL_BITS, yi * 2.0 ** -_SOBOL_BITS
     if bounds is None:
-        return pts
+        return np.column_stack([u, v])
     if isinstance(bounds, GridSpec):
-        lo_re, hi_re = bounds.re_min, bounds.re_max
-        lo_r, hi_r = bounds.rough_min, bounds.rough_max
-    else:
-        lo_re, hi_re, lo_r, hi_r = bounds
-    u, v = pts[:, 0], pts[:, 1]
+        bounds = (bounds.re_min, bounds.re_max, bounds.rough_min, bounds.rough_max)
+    lo_re, hi_re, lo_r, hi_r = bounds
     if mapping == "uniform":
         re = lo_re + u * (hi_re - lo_re)
         rough = lo_r + v * (hi_r - lo_r)
-    elif mapping == "log":
+    else:
         re = lo_re * (hi_re / lo_re) ** u
         rough = lo_r * (hi_r / lo_r) ** v
-    else:
-        raise ConfigError(f"mapping must be 'uniform' or 'log', got {mapping!r}")
     return np.column_stack([re, rough])
 
 
@@ -318,11 +316,17 @@ def scan_many(scheme_ids, grid=None, workers=1):
     Returns:
         dict spec id -> (ErrorMap, ErrorStats); variants of one scheme
         (``schemes.variant``) have ids of their own.
+
+    Raises:
+        ConfigError: workers < 1, or two schemes with one id.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     grid = DEFAULT_GRID if grid is None else grid
     spec_list = [schemes.get_scheme(s) for s in scheme_ids]
+    repeated = [sid for sid, k in Counter(s.id for s in spec_list).items() if k > 1]
+    if repeated:
+        raise ConfigError(f"scheme ids must be distinct; repeated: {', '.join(repeated)}")
     re_flat, rough_flat = _flat_mesh(grid)
     lam_ref = np.empty(grid.size)
     # blocks[k] holds spec k's (lambda_approx, rel_err_pct) rows; one block
@@ -536,11 +540,6 @@ def table1_text(rows) -> str:
             f"{r['measured_max_pct']:>16.4f}{r['published_max_pct']:>13g}"
         )
     return "\n".join(lines)
-
-
-def table1_report(grid=None, workers=1) -> str:
-    """The eight-row accuracy-vs-complexity table as aligned text."""
-    return table1_text(table1_rows(grid=grid, workers=workers))
 
 
 # ---------------------------------------------------------------------------

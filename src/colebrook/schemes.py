@@ -55,12 +55,6 @@ _TRANSFORMED_CONSTANTS = {
 CONSTANTS_MODES = tuple(_TRANSFORMED_CONSTANTS)
 
 
-def transformed_constants(mode: str) -> tuple:
-    """(2*log10(3.71), 2/ln 10) as published truncations or full precision."""
-    _check_choice("constants mode", mode, CONSTANTS_MODES)
-    return _TRANSFORMED_CONSTANTS[mode]
-
-
 def _make_sine(strategy):
     """Build an array sine callable for a strategy plus a fallback counter.
 
@@ -244,21 +238,32 @@ def get_scheme(scheme_id) -> SchemeSpec:
         ) from None
 
 
+def _applies(spec, name, value, default):
+    """Whether ``variant`` sets ``name`` to value: not to the default or the
+    spec's own value; SchemeError over another non-default value."""
+    current = getattr(spec, name)
+    if value in (default, current):
+        return False
+    if current != default:
+        raise SchemeError(f"{spec.id} already has {name} {current!r}; cannot apply {value!r}")
+    return True
+
+
 def variant(spec, sin_strategy: str = "exact", constants: str = "published") -> SchemeSpec:
     """A scheme (spec or registered id) with a sine strategy and a
     constants mode applied, under an id that names them: ``eq6a-sinpade``
     for a kernel sine in a sine-bearing starter, ``eq2a1-t-exact`` for
     full-precision constants in a transformed step. A setting with no
-    effect on the scheme leaves it as it is. Raises SchemeError for an
-    unknown strategy or mode."""
+    effect on the scheme, or one it already has, leaves it as it is.
+    Raises SchemeError for an unknown or a conflicting setting."""
     spec = get_scheme(spec)
     _check_choice("sin_strategy", sin_strategy, SIN_STRATEGIES)
     _check_choice("constants mode", constants, CONSTANTS_MODES)
     sid, changes = spec.id, {}
-    if sin_strategy != "exact" and spec.starter in SINE_STARTERS:
+    if spec.starter in SINE_STARTERS and _applies(spec, "sin_strategy", sin_strategy, "exact"):
         sid += f"-sin{sin_strategy}"
         changes["sin_strategy"] = sin_strategy
-    if constants != "published" and spec.transformed:
+    if spec.transformed and _applies(spec, "constants", constants, "published"):
         sid += f"-{constants}"
         changes["constants"] = constants
     return replace(spec, id=sid, **changes) if changes else spec

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import colebrook
 from colebrook import core, evaluation
 
 # Frozen reference values, recomputed independently with 50-digit
@@ -21,6 +22,13 @@ LAM_STAR_MID = 0.011868958666459352    # Re=1e6, eps/D=1e-5
 EQ2_SMOOTH = 5.1740067952116232
 EQ2_CORNER = 3.9399026467603759
 EQ2_1E5 = 7.588952121943826
+
+
+def test_public_names_resolve_once():
+    names = colebrook.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(colebrook, name), name
 
 
 class TestFlowPoint:
@@ -68,35 +76,6 @@ class TestFlowPoint:
             p.re = 2e5
 
 
-class TestNormalization:
-    def test_round_numbers(self):
-        n = core.normalize(core.FlowPoint(1e5, 1e-4))
-        assert n.a == 5.0
-        assert n.b == 4.0
-
-    def test_a_of_domain_edge(self):
-        n = core.normalize(core.FlowPoint(4000.0, 1e-4))
-        assert n.a == pytest.approx(3.6020599913279624, rel=1e-15)
-
-    def test_denormalize_round_trip(self):
-        p = core.FlowPoint(3.7e6, 2.4e-3)
-        n = core.normalize(p)
-        q = n.denormalize()
-        assert q.re == pytest.approx(p.re, rel=1e-14)
-        assert q.rel_rough == pytest.approx(p.rel_rough, rel=1e-14)
-
-    def test_smooth_limit_rejected(self):
-        with pytest.raises(core.DomainError):
-            core.normalize(core.FlowPoint(1e5, 0.0))
-        # below the practical floor counts as smooth too
-        with pytest.raises(core.DomainError):
-            core.normalize(core.FlowPoint(1e5, 1e-12))
-
-    def test_floor_value_is_accepted(self):
-        n = core.normalize(core.FlowPoint(1e5, core.MIN_NORMALIZED_ROUGH))
-        assert n.b == 9.0
-
-
 class TestFrictionIterate:
     def test_lambda_is_inverse_square(self):
         it = core.FrictionIterate(5.0)
@@ -116,20 +95,12 @@ class TestFrictionIterate:
 
 class TestColebrookRhs:
     def test_reference_point(self):
-        x = core.colebrook_rhs(core.FlowPoint(1e5, 1e-4), 7.0)
+        x = core.colebrook_rhs_raw(1e5, 1e-4, 7.0)
         assert x == pytest.approx(RHS_1E5, rel=1e-14)
 
     def test_smooth_branch(self):
-        x = core.colebrook_rhs(core.FlowPoint(4000.0, 0.0), 5.0)
+        x = core.colebrook_rhs_raw(4000.0, 0.0, 5.0)
         assert x == pytest.approx(RHS_SMOOTH, rel=1e-14)
-
-    def test_rejects_nonpositive_x(self):
-        with pytest.raises(core.DomainError):
-            core.colebrook_rhs(core.FlowPoint(1e5, 1e-4), 0.0)
-
-    def test_raw_matches_typed(self):
-        got = core.colebrook_rhs_raw(1e5, 1e-4, 7.0)
-        assert got == core.colebrook_rhs(core.FlowPoint(1e5, 1e-4), 7.0)
 
 
 class TestStarterEq2:
@@ -173,8 +144,8 @@ class TestSolver:
 
     def test_fixed_point_property(self):
         rep = core.solve_colebrook_exact(core.FlowPoint(3e6, 1e-3))
-        p = core.FlowPoint(3e6, 1e-3)
-        assert core.colebrook_rhs(p, rep.iterate.x) == pytest.approx(rep.iterate.x, abs=1e-11)
+        x = rep.iterate.x
+        assert core.colebrook_rhs_raw(3e6, 1e-3, x) == pytest.approx(x, abs=1e-11)
 
     def test_nonconvergence_raises_with_context(self):
         p = core.FlowPoint(0.001, 1e-4, out_of_domain_ok=True)

@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,10 +69,11 @@ class TestSobol:
         for got, want in zip(pts, SOBOL_FIRST_8):
             assert tuple(got) == want
 
-    def test_matches_scipy_unscrambled(self):
+    @pytest.mark.parametrize("n", [512, 2**17])
+    def test_matches_scipy_unscrambled(self, n):
         from scipy.stats import qmc
-        ref = qmc.Sobol(d=2, scramble=False).random(512)
-        assert np.array_equal(evaluation.sobol_2d(512), ref)
+        ref = qmc.Sobol(d=2, scramble=False).random(n)
+        assert np.array_equal(evaluation.sobol_2d(n), ref)
 
     def test_uniform_mapping_hits_lower_corner(self):
         pts = evaluation.sobol_2d(4, bounds=(4000.0, 1e8, 1e-6, 0.05))
@@ -89,6 +91,11 @@ class TestSobol:
     def test_rejects_bad_n(self):
         with pytest.raises(evaluation.ConfigError):
             evaluation.sobol_2d(0)
+
+    @pytest.mark.parametrize("bounds", [None, (4000.0, 1e8, 1e-6, 0.05)])
+    def test_rejects_unknown_mapping(self, bounds):
+        with pytest.raises(evaluation.ConfigError, match="'bogus'"):
+            evaluation.sobol_2d(3, bounds=bounds, mapping="bogus")
 
 
 class TestStats:
@@ -235,6 +242,18 @@ class TestScan:
         assert res["eq2a1-t"][1] != res["eq2a1-t-exact"][1]
         assert np.array_equal(res["eq2a1-t-exact"][0].lambda_approx,
                               evaluation.scan_errors(exact, grid=SMALL)[0].lambda_approx)
+
+    def test_repeated_ids_rejected_before_any_work(self, monkeypatch):
+        def no_oracle(*args):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(core, "solve_colebrook_raw", no_oracle)
+        with pytest.raises(evaluation.ConfigError, match="repeated: eq2$"):
+            evaluation.scan_many(["eq2", "eq2a1", "eq2"], grid=SMALL)
+        # two different specs under one id would overwrite each other
+        other = replace(schemes.get_scheme("eq2a1"), id="eq2")
+        with pytest.raises(evaluation.ConfigError, match="repeated: eq2$"):
+            evaluation.scan_many(["eq2", other], grid=SMALL)
 
     def test_scan_rejects_unknown_scheme(self):
         with pytest.raises(schemes.RegistryError):
@@ -467,10 +486,7 @@ class TestCostModel:
             assert r["published_max_pct"] == evaluation.PUBLISHED_MAX_PCT[r["scheme"]]
             _, st = evaluation.scan_errors(r["scheme"], grid=SMALL)
             assert r["measured_max_pct"] == st.max_pct
-
-    def test_report_renders(self):
-        text = evaluation.table1_report(grid=SMALL)
-        lines = text.splitlines()
+        lines = evaluation.table1_text(rows).splitlines()
         assert len(lines) == 9
         assert lines[0].split() == ["scheme", "logs", "measured", "max", "%", "published", "%"]
         assert lines[1].startswith("eq2a2")

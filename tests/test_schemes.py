@@ -59,13 +59,14 @@ class TestStarters:
         assert schemes.starter_eq6_raw(6.0, 2.0) == pytest.approx(EQ6_PIN, rel=1e-14)
 
     def test_typed_starters_match_raw(self):
-        # the bare ids at a point are the raw starters at normalize(point)
+        # the bare ids at a point are the raw starters at a = log10(Re),
+        # b = -log10(eps/D)
         p = core.FlowPoint(3.7e6, 2.4e-3)
-        n = core.normalize(p)
-        assert schemes.evaluate_scheme("eq3", p).x == schemes.starter_eq3_raw(n.a, n.b)
-        assert schemes.evaluate_scheme("eq4", p).x == schemes.starter_eq4_raw(n.a, n.b)
-        assert schemes.evaluate_scheme("eq5", p).x == schemes.starter_eq5_raw(n.a, n.b)
-        assert schemes.evaluate_scheme("eq6", p).x == schemes.starter_eq6_raw(n.a, n.b)
+        a, b = np.log10(3.7e6), -np.log10(2.4e-3)
+        assert schemes.evaluate_scheme("eq3", p).x == schemes.starter_eq3_raw(a, b)
+        assert schemes.evaluate_scheme("eq4", p).x == schemes.starter_eq4_raw(a, b)
+        assert schemes.evaluate_scheme("eq5", p).x == schemes.starter_eq5_raw(a, b)
+        assert schemes.evaluate_scheme("eq6", p).x == schemes.starter_eq6_raw(a, b)
         assert schemes.evaluate_scheme("eq2", p).x == core.starter_eq2_raw(3.7e6, 2.4e-3)
 
     def test_starters_are_step_zero(self):
@@ -100,8 +101,8 @@ class TestAcceleration:
         assert it1.x == pytest.approx(CHAIN_X1, rel=1e-14)
         assert it2.x == pytest.approx(CHAIN_X2, rel=1e-14)
         # each step is one application of the implicit map
-        assert it1.x == core.colebrook_rhs(p, core.starter_eq2_raw(1e5, 1e-4))
-        assert it2.x == core.colebrook_rhs(p, it1.x)
+        assert it1.x == core.colebrook_rhs_raw(1e5, 1e-4, core.starter_eq2_raw(1e5, 1e-4))
+        assert it2.x == core.colebrook_rhs_raw(1e5, 1e-4, it1.x)
 
     def test_eq3_chain(self):
         p = core.FlowPoint(1e5, 1e-4)
@@ -109,7 +110,7 @@ class TestAcceleration:
         assert it0.x == pytest.approx(EQ3_CHAIN_X0, rel=1e-14)
         it1 = schemes.evaluate_scheme("eq3a", p)
         assert it1.x == pytest.approx(EQ3_CHAIN_X1, rel=1e-14)
-        assert it1.x == core.colebrook_rhs(p, it0.x)
+        assert it1.x == core.colebrook_rhs_raw(1e5, 1e-4, it0.x)
 
     def test_each_step_improves_reference_point(self):
         p = core.FlowPoint(1e5, 1e-4)
@@ -135,16 +136,12 @@ class TestTheta:
 
 class TestTransformedForm:
     def test_published_constants_are_the_printed_truncations(self):
-        assert schemes.transformed_constants("published") == (1.1387478, 0.8686)
+        assert schemes._TRANSFORMED_CONSTANTS["published"] == (1.1387478, 0.8686)
 
     def test_exact_constants(self):
-        c1, c2 = schemes.transformed_constants("exact")
+        c1, c2 = schemes._TRANSFORMED_CONSTANTS["exact"]
         assert c1 == pytest.approx(1.1387478192300917, rel=1e-15)
         assert c2 == pytest.approx(0.8685889638065035, rel=1e-15)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(schemes.SchemeError):
-            schemes.transformed_constants("fast")
 
     def test_published_step_pin(self):
         it1 = schemes.evaluate_scheme("eq2a1-t", core.FlowPoint(1e5, 1e-4))
@@ -227,6 +224,9 @@ class TestEvaluateScheme:
         # below the smooth floor counts as smooth too
         with pytest.raises(core.DomainError, match="rel_rough >="):
             schemes.evaluate_scheme("eq3", core.FlowPoint(1e5, 1e-12))
+        # the floor itself is accepted
+        it = schemes.evaluate_scheme("eq3", core.FlowPoint(1e5, core.MIN_NORMALIZED_ROUGH))
+        assert it.x == schemes.starter_eq3_raw(5.0, 9.0)
 
     def test_eq2_family_accepts_smooth(self):
         it = schemes.evaluate_scheme("eq2a2", core.FlowPoint(1e5, 0.0))
@@ -306,6 +306,22 @@ class TestVariant:
         # eq2a2 has no sine and no transformed step; eq6a no transformed step
         assert schemes.variant("eq2a2", "pade", "exact") is schemes.get_scheme("eq2a2")
         assert schemes.variant("eq6a", "exact", "exact") is schemes.get_scheme("eq6a")
+
+    def test_setting_again_keeps_the_variant(self):
+        pade = schemes.variant("eq6a", "pade")
+        assert schemes.variant(pade, "pade") is pade
+        exact = schemes.variant("eq2a1-t", constants="exact")
+        assert schemes.variant(exact, constants="exact") is exact
+        # the setting a variant lacks is still applied
+        both = schemes.variant(schemes.variant("eq6a-t", "quintic"), "quintic", "exact")
+        assert both == schemes.variant("eq6a-t", "quintic", "exact")
+
+    def test_conflicting_setting_rejected(self):
+        with pytest.raises(schemes.SchemeError, match="eq6a-sinpade already has sin_strategy"):
+            schemes.variant(schemes.variant("eq6a", "pade"), "quintic")
+        spec = schemes.SchemeSpec(id="w", starter="eq5", sin_strategy="quintic")
+        with pytest.raises(schemes.SchemeError, match="w already has sin_strategy 'quintic'"):
+            schemes.variant(spec, "pade", "exact")
 
     def test_unknown_settings_rejected(self):
         with pytest.raises(schemes.SchemeError, match="sin_strategy"):
