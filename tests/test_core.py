@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import colebrook
-from colebrook import core, evaluation
+from colebrook import core, evaluation, schemes
 
 # Frozen reference values, recomputed independently with 50-digit
 # arithmetic and rounded to double precision.
@@ -74,6 +74,30 @@ class TestFlowPoint:
         p = core.FlowPoint(1e5, 1e-4)
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.re = 2e5
+
+
+class TestNormalization:
+    """The normalized starters run at a = log10(Re), b = -log10(eps/D)."""
+
+    def _eq3(self, re, rough):
+        x, _ = schemes.evaluate_scheme_raw("eq3", np.array([re]), np.array([rough]))
+        return x[0]
+
+    def test_round_numbers(self):
+        assert self._eq3(1e5, 1e-4) == schemes.starter_eq3_raw(5.0, 4.0)
+
+    def test_a_of_domain_edge(self):
+        a = 3.6020599913279624
+        assert self._eq3(4000.0, 1e-4) == pytest.approx(schemes.starter_eq3_raw(a, 4.0), rel=1e-15)
+
+    def test_smooth_limit_rejected(self):
+        # below the practical floor counts as smooth too
+        for rough in (0.0, 1e-12):
+            with pytest.raises(core.DomainError, match="rel_rough >="):
+                schemes.evaluate_scheme_raw("eq3", np.array([1e5, 1e5]), np.array([1e-4, rough]))
+
+    def test_floor_value_is_accepted(self):
+        assert self._eq3(1e5, core.MIN_NORMALIZED_ROUGH) == schemes.starter_eq3_raw(5.0, 9.0)
 
 
 class TestFrictionIterate:

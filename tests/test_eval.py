@@ -486,7 +486,10 @@ class TestCostModel:
             assert r["published_max_pct"] == evaluation.PUBLISHED_MAX_PCT[r["scheme"]]
             _, st = evaluation.scan_errors(r["scheme"], grid=SMALL)
             assert r["measured_max_pct"] == st.max_pct
-        lines = evaluation.table1_text(rows).splitlines()
+
+    def test_report_renders(self):
+        text = evaluation.table1_text(evaluation.table1_rows(grid=SMALL))
+        lines = text.splitlines()
         assert len(lines) == 9
         assert lines[0].split() == ["scheme", "logs", "measured", "max", "%", "published", "%"]
         assert lines[1].startswith("eq2a2")

@@ -143,6 +143,12 @@ class TestTransformedForm:
         assert c1 == pytest.approx(1.1387478192300917, rel=1e-15)
         assert c2 == pytest.approx(0.8685889638065035, rel=1e-15)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(schemes.SchemeError, match="constants mode"):
+            schemes.SchemeSpec(
+                id="w", starter="eq2", accel_steps=1, accel_form="transformed", constants="fast"
+            )
+
     def test_published_step_pin(self):
         it1 = schemes.evaluate_scheme("eq2a1-t", core.FlowPoint(1e5, 1e-4))
         assert it1.step == 1
