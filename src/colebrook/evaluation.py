@@ -7,9 +7,10 @@ carries everything it computes, its sine strategy and constants mode
 included, so a variant (``schemes.variant``) is scanned, counted and
 timed under its own id with no further settings.
 
-Grid scans may be partitioned across workers; every point's computation
-is independent and the reduction is associativity-safe, so results are
-identical for any worker count. The mean error is the correctly rounded
+Grid scans run in cache-sized blocks, which may be partitioned across
+workers; every point's computation is independent and the reduction is
+associativity-safe, so results are identical for any block size and
+worker count. The mean error is the correctly rounded
 sum of the map divided by its size, the value ``math.fsum`` gives,
 computed with whole-array numpy operations (``exact_sum``).
 """
@@ -303,15 +304,26 @@ def stats_of(errmap: ErrorMap) -> ErrorStats:
     )
 
 
+# points per block of scan_many's pass over the mesh: 512 KiB per float64
+# temporary, so a block's intermediates stay in a core's L2 cache
+_SCAN_BLOCK = 65536
+
+
 def scan_many(scheme_ids, grid=None, workers=1):
     """Scan several schemes (ids or specs) over one mesh, solving the
     oracle once.
 
     The outputs are allocated once: the oracle lambda and, per scheme,
-    a block whose two rows are its lambda and error maps. Each worker,
-    the caller itself for one slice or a pool thread, fills its
-    contiguous slice of them in place and returns only its
-    sine-fallback counts.
+    an array whose two rows are its lambda and error maps. The mesh is
+    walked once, in blocks of ``_SCAN_BLOCK`` points; per block the
+    oracle is solved and checked, the normalized inputs (log10 Re,
+    -log10 eps/D) are computed, and every scheme fills its rows of the
+    outputs in place, so each stage's temporaries stay in cache. Each
+    worker, the caller itself for one run or a pool thread, takes a
+    contiguous run of whole blocks; there are never more workers than
+    blocks. Every point is computed alone, so maps, stats and
+    sine-fallback counts are the same bit for bit at any block size and
+    worker count.
 
     Returns:
         dict spec id -> (ErrorMap, ErrorStats); variants of one scheme
@@ -329,41 +341,49 @@ def scan_many(scheme_ids, grid=None, workers=1):
         raise ConfigError(f"scheme ids must be distinct; repeated: {', '.join(repeated)}")
     re_flat, rough_flat = _flat_mesh(grid)
     lam_ref = np.empty(grid.size)
-    # blocks[k] holds spec k's (lambda_approx, rel_err_pct) rows; one block
+    # outs[k] holds spec k's (lambda_approx, rel_err_pct) rows; one array
     # for all schemes measured slower, as it is paged in afresh every scan
-    blocks = [np.empty((2, grid.size)) for _ in spec_list]
+    outs = [np.empty((2, grid.size)) for _ in spec_list]
+    # the eq2 starter and direct steps take no normalized inputs
+    normalized = any(s.starter != "eq2" or s.transformed for s in spec_list)
 
     def fill(lo, hi):
-        re_c, rough_c = re_flat[lo:hi], rough_flat[lo:hi]
-        x0 = core.oracle_start_raw(re_c, rough_c)
-        x_ref, _, _, converged = core.solve_colebrook_raw(re_c, rough_c, x0)
-        if not converged.all():
-            j = int(np.flatnonzero(~converged)[0])
-            raise core.ConvergenceError(
-                f"oracle did not converge at (re={re_c[j]}, rel_rough={rough_c[j]})",
-                last_x=float(x_ref[j]),
-            )
-        # from eps/D = 3.71 up the fixed point is not positive; lambda =
-        # x**-2 of it is not a friction factor
-        nonphysical = np.flatnonzero(x_ref <= 0.0)
-        if nonphysical.size:
-            j = int(nonphysical[0])
-            raise core.DomainError(
-                f"oracle root x={x_ref[j]} is not positive at "
-                f"(re={re_c[j]}, rel_rough={rough_c[j]})"
-            )
-        lam_ref_c = np.power(x_ref, -2.0, out=lam_ref[lo:hi])
-        fallbacks = []
-        for spec, block in zip(spec_list, blocks):
-            lam_a, err = block[:, lo:hi]
-            x_a, nfb = schemes.evaluate_scheme_raw(spec, re_c, rough_c)
-            np.power(x_a, -2.0, out=lam_a)
-            core.relative_error_pct_raw(lam_ref_c, lam_a, out=err)
-            fallbacks.append(nfb)
-        return fallbacks
+        """Fill points [lo, hi) block by block; returns the per-spec
+        sine-fallback counts."""
+        counts = [0] * len(spec_list)
+        for b_lo in range(lo, hi, _SCAN_BLOCK):
+            b_hi = min(b_lo + _SCAN_BLOCK, hi)
+            re_c, rough_c = re_flat[b_lo:b_hi], rough_flat[b_lo:b_hi]
+            x0 = core.oracle_start_raw(re_c, rough_c)
+            x_ref, _, _, converged = core.solve_colebrook_raw(re_c, rough_c, x0)
+            if not converged.all():
+                j = int(np.flatnonzero(~converged)[0])
+                raise core.ConvergenceError(
+                    f"oracle did not converge at (re={re_c[j]}, rel_rough={rough_c[j]})",
+                    last_x=float(x_ref[j]),
+                )
+            # from eps/D = 3.71 up the fixed point is not positive; lambda =
+            # x**-2 of it is not a friction factor
+            nonphysical = np.flatnonzero(x_ref <= 0.0)
+            if nonphysical.size:
+                j = int(nonphysical[0])
+                raise core.DomainError(
+                    f"oracle root x={x_ref[j]} is not positive at "
+                    f"(re={re_c[j]}, rel_rough={rough_c[j]})"
+                )
+            lam_ref_c = np.power(x_ref, -2.0, out=lam_ref[b_lo:b_hi])
+            ab = (np.log10(re_c), -np.log10(rough_c)) if normalized else None
+            for k, (spec, rows) in enumerate(zip(spec_list, outs)):
+                lam_a, err = rows[:, b_lo:b_hi]
+                x_a, nfb = schemes.evaluate_scheme_raw(spec, re_c, rough_c, ab)
+                np.power(x_a, -2.0, out=lam_a)
+                core.relative_error_pct_raw(lam_ref_c, lam_a, out=err)
+                counts[k] += nfb
+        return counts
 
-    parts = min(workers, grid.size)
-    bounds = [grid.size * k // parts for k in range(parts + 1)]
+    n_blocks = -(-grid.size // _SCAN_BLOCK)
+    parts = min(workers, n_blocks)
+    bounds = [min(n_blocks * k // parts * _SCAN_BLOCK, grid.size) for k in range(parts + 1)]
     if parts == 1:
         counts = [fill(0, grid.size)]
     else:
@@ -373,7 +393,7 @@ def scan_many(scheme_ids, grid=None, workers=1):
     out = {}
     for k, spec in enumerate(spec_list):
         nfb = sum(c[k] for c in counts)
-        errmap = ErrorMap(grid, re_flat, rough_flat, lam_ref, *blocks[k], sine_fallbacks=nfb)
+        errmap = ErrorMap(grid, re_flat, rough_flat, lam_ref, *outs[k], sine_fallbacks=nfb)
         out[spec.id] = (errmap, stats_of(errmap))
     return out
 

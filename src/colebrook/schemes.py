@@ -253,20 +253,25 @@ def variant(spec, sin_strategy: str = "exact", constants: str = "published") -> 
     """A scheme (spec or registered id) with a sine strategy and a
     constants mode applied, under an id that names them: ``eq6a-sinpade``
     for a kernel sine in a sine-bearing starter, ``eq2a1-t-exact`` for
-    full-precision constants in a transformed step. A setting with no
-    effect on the scheme, or one it already has, leaves it as it is.
-    Raises SchemeError for an unknown or a conflicting setting."""
+    full-precision constants in a transformed step; with both, the sine
+    comes first (``eq6a-t-sinpade-exact``) in whichever order they were
+    applied. A setting with no effect on the scheme, or one it already
+    has, leaves it as it is. Raises SchemeError for an unknown or a
+    conflicting setting."""
     spec = get_scheme(spec)
     _check_choice("sin_strategy", sin_strategy, SIN_STRATEGIES)
     _check_choice("constants mode", constants, CONSTANTS_MODES)
-    sid, changes = spec.id, {}
+    # the constants suffix stays last, whichever setting was applied first
+    sid, last, changes = spec.id, "", {}
+    if spec.constants != "published" and sid.endswith(f"-{spec.constants}"):
+        sid, last = sid[:-len(spec.constants) - 1], f"-{spec.constants}"
     if spec.starter in SINE_STARTERS and _applies(spec, "sin_strategy", sin_strategy, "exact"):
         sid += f"-sin{sin_strategy}"
         changes["sin_strategy"] = sin_strategy
     if spec.transformed and _applies(spec, "constants", constants, "published"):
-        sid += f"-{constants}"
+        last = f"-{constants}"
         changes["constants"] = constants
-    return replace(spec, id=sid, **changes) if changes else spec
+    return replace(spec, id=sid + last, **changes) if changes else spec
 
 
 def _check_inputs(spec, re_min, re_max, rough_min, rough_max):
@@ -293,20 +298,23 @@ def _check_inputs(spec, re_min, re_max, rough_min, rough_max):
         raise DomainError("transformed acceleration undefined for rel_rough = 0")
 
 
-def _recipe(spec, re, rel_rough, sine):
+def _recipe(spec, re, rel_rough, sine, ab=None):
     """The scheme's arithmetic: normalization, starter, then the
     acceleration steps or the one-log step.
 
     Runs unchanged on Python floats and on numpy arrays, and does no
     validation; the callers check the inputs and pass the sine.
-    b = -log10(eps/D) is computed once and reused by transformed steps.
+    The normalized inputs (a, b) = (log10 Re, -log10 eps/D) are taken
+    from ``ab`` when given, else computed here, each at most once, and
+    b is reused by transformed steps.
     """
-    b = None
+    a, b = (None, None) if ab is None else ab
     if spec.starter == "eq2":
         x = starter_eq2_raw(re, rel_rough)
     else:
-        a = np.log10(re)
-        b = -np.log10(rel_rough)
+        if ab is None:
+            a = np.log10(re)
+            b = -np.log10(rel_rough)
         if spec.starter == "eq3":
             x = starter_eq3_raw(a, b)
         else:
@@ -349,8 +357,12 @@ def evaluate_scheme(spec, point: FlowPoint) -> FrictionIterate:
     return FrictionIterate(float(x), step=spec.accel_steps)
 
 
-def evaluate_scheme_raw(spec, re, rel_rough):
+def evaluate_scheme_raw(spec, re, rel_rough, ab=None):
     """Vectorized scheme evaluation over arrays of (Re, eps/D).
+
+    ``ab`` may carry the normalized inputs (log10 Re, -log10 eps/D) of
+    the same arrays, so that several schemes over one mesh share them;
+    the result is the same bit for bit.
 
     Returns:
         (x, sine_fallbacks): final x array and the count of sine-kernel
@@ -366,4 +378,4 @@ def evaluate_scheme_raw(spec, re, rel_rough):
     if re.size and rel_rough.size:
         _check_inputs(spec, re.min(), re.max(), rel_rough.min(), rel_rough.max())
     sine, count = _make_sine(spec.sin_strategy)
-    return _recipe(spec, re, rel_rough, sine), count()
+    return _recipe(spec, re, rel_rough, sine, ab), count()

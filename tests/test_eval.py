@@ -180,17 +180,21 @@ class TestScan:
             lam_ref = core.solve_colebrook_exact(p).iterate.lam
             assert errmap.lambda_ref[idx] == pytest.approx(lam_ref, rel=1e-12)
 
-    def test_worker_count_does_not_change_anything(self):
+    # 161 points: 23 ragged blocks for up to 8 workers, 3 blocks, or one
+    @pytest.mark.parametrize("block", [7, 64, 23 * 7 + 1])
+    def test_worker_count_does_not_change_anything(self, block, monkeypatch):
         # odd point count so chunks are ragged
         g = evaluation.GridSpec(n_re=23, n_rough=7)
         specs = ["eq6a", schemes.variant("eq6a", "pade"), "eq2a2-pade"]
+        # the default block holds the whole mesh: one pass over whole arrays
         base = evaluation.scan_many(specs, grid=g, workers=1)
         assert base["eq6a-sinpade"][0].sine_fallbacks > 0
+        monkeypatch.setattr(evaluation, "_SCAN_BLOCK", block)
         # frequent thread switches interleave the workers' writes
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = {w: evaluation.scan_many(specs, grid=g, workers=w) for w in (2, 5, 8)}
+            results = {w: evaluation.scan_many(specs, grid=g, workers=w) for w in (1, 2, 5, 8)}
         finally:
             sys.setswitchinterval(interval)
         for workers, res in results.items():
@@ -203,10 +207,12 @@ class TestScan:
                 assert em.sine_fallbacks == base_em.sine_fallbacks
                 assert st == base_st
 
-    def test_workers_fill_the_returned_arrays_in_place(self):
+    def test_workers_fill_the_returned_arrays_in_place(self, monkeypatch):
         # per-worker results joined into the outputs would hold the
         # outputs' bytes twice at the peak
         g = evaluation.GridSpec(n_re=200, n_rough=150)
+        # 8 blocks, so that both workers run
+        monkeypatch.setattr(evaluation, "_SCAN_BLOCK", 4096)
         tracemalloc.start()
         try:
             res = evaluation.scan_many(schemes.TABLE1_ROW_IDS, grid=g, workers=2)
@@ -221,16 +227,50 @@ class TestScan:
         returned = sum(a.nbytes for a in arrays.values())
         assert peak < 2 * returned, peak / returned
 
+    def test_workers_never_outnumber_blocks(self, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            """Records its size and runs the tasks in the caller: no thread starts."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", InlinePool)
+        base = evaluation.scan_errors("eq6a", grid=SMALL)
+        # SMALL's 432 points are one default block, filled by the caller
+        whole = evaluation.scan_errors("eq6a", grid=SMALL, workers=100_000)
+        assert pools == []
+        monkeypatch.setattr(evaluation, "_SCAN_BLOCK", 64)
+        blocked = evaluation.scan_errors("eq6a", grid=SMALL, workers=100_000)
+        assert pools == [7]  # ceil(432 / 64) blocks
+        for em, st in (whole, blocked):
+            assert em.lambda_approx.tobytes() == base[0].lambda_approx.tobytes()
+            assert em.rel_err_pct.tobytes() == base[0].rel_err_pct.tobytes()
+            assert st == base[1]
+
     def test_scan_many_shares_one_oracle(self):
         res = evaluation.scan_many(["eq2", "eq2a1"], grid=SMALL)
         em2, _ = res["eq2"]
         em21, _ = res["eq2a1"]
         assert np.array_equal(em2.lambda_ref, em21.lambda_ref)
 
+    @pytest.mark.parametrize("block", [evaluation._SCAN_BLOCK, 3])
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_negative_oracle_root_is_a_domain_error(self, workers):
+    def test_negative_oracle_root_is_a_domain_error(self, workers, block, monkeypatch):
         # once eps/D/3.71 exceeds 1 the oracle converges to a negative x
         g = evaluation.GridSpec(n_re=5, n_rough=5, rough_max=10)
+        # 3-point blocks put the first bad point, index 20, last in a block
+        monkeypatch.setattr(evaluation, "_SCAN_BLOCK", block)
         with pytest.raises(core.DomainError, match=r"not positive at \(re=4000.0, rel_rough=10.0\)"):
             evaluation.scan_errors("eq2a2", grid=g, workers=workers)
 

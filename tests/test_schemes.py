@@ -295,6 +295,16 @@ class TestEvaluateScheme:
             assert it.x == x, (spec.id, re, rr)
             assert it.step == spec.accel_steps
 
+    @pytest.mark.parametrize("spec", SWEEP_VARIANTS, ids=lambda spec: spec.id)
+    def test_shared_normalized_inputs_change_nothing(self, spec):
+        # scan_many passes one block's (a, b) to every scheme
+        re, rough = evaluation._flat_mesh(evaluation.GridSpec(n_re=60, n_rough=50))
+        ab = (np.log10(re), -np.log10(rough))
+        x, fallbacks = schemes.evaluate_scheme_raw(spec, re, rough)
+        x_ab, fallbacks_ab = schemes.evaluate_scheme_raw(spec, re, rough, ab)
+        assert x_ab.tobytes() == x.tobytes()
+        assert fallbacks_ab == fallbacks
+
 
 class TestVariant:
     def test_ids_name_the_settings(self):
@@ -321,6 +331,16 @@ class TestVariant:
         # the setting a variant lacks is still applied
         both = schemes.variant(schemes.variant("eq6a-t", "quintic"), "quintic", "exact")
         assert both == schemes.variant("eq6a-t", "quintic", "exact")
+
+    def test_id_does_not_depend_on_the_order_of_settings(self):
+        sine_first = schemes.variant(schemes.variant("eq6a-t", "pade"), constants="exact")
+        constants_first = schemes.variant(schemes.variant("eq6a-t", constants="exact"), "pade")
+        assert sine_first == constants_first == schemes.variant("eq6a-t", "pade", "exact")
+        assert constants_first.id == "eq6a-t-sinpade-exact"
+        # one scheme under one id: scan_many would not compute it twice
+        with pytest.raises(evaluation.ConfigError, match="repeated: eq6a-t-sinpade-exact$"):
+            evaluation.scan_many([sine_first, constants_first], grid=evaluation.GridSpec(
+                n_re=3, n_rough=3))
 
     def test_conflicting_setting_rejected(self):
         with pytest.raises(schemes.SchemeError, match="eq6a-sinpade already has sin_strategy"):
