@@ -7,13 +7,23 @@ friction factor. The implicit equation is
     x = -2 * log10(2.51 * x / Re + (eps/D) / 3.71)
 
 valid for turbulent flow with Re in [4000, 1e8] and relative roughness
-eps/D in [0, 0.05]. The right-hand side is a contraction on that domain,
-so plain fixed-point iteration converges quickly; the converged iterate is
-the accuracy oracle every explicit approximation is judged against.
+eps/D in [0, 0.05]. The reference solver ("oracle") finds the root of
+
+    f(x) = x + 2 * log10(a * x + c),   a = 2.51 / Re,   c = (eps/D) / 3.71
+
+by Newton's method (Clamond, Ind. Eng. Chem. Res. 2009). Where the log
+argument u = a*x + c is positive, f is increasing and concave, so the
+tangent at any iterate meets zero at or below the root: after the first
+step the iterates rise monotonically to it, quadratically near it. The
+step from x lands at (K*a*x - 2*u*log10(u)) / (u + K*a), K = 2/ln 10,
+which is positive while u < 1; on the domain that holds for any start
+below 1500. The converged iterate is the accuracy oracle every explicit
+approximation is judged against.
 
 The oracle has a vector form (``solve_colebrook_raw``) and a scalar form
-(``solve_colebrook_exact``). The scalar form runs the same recurrence on
-Python floats, with ``np.log10``, and equals the vector form bit for bit.
+(``solve_colebrook_exact``). Both apply the one Newton step
+``_newton_step``; the scalar form runs it on Python floats, with
+``np.log10``, and equals the vector form bit for bit.
 """
 
 import math
@@ -31,6 +41,9 @@ MIN_NORMALIZED_ROUGH = 1e-9
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100
+
+# f'(x) = 1 + _K * a / (a*x + c) for f(x) = x + 2 log10(a*x + c)
+_K = 2.0 / math.log(10.0)
 
 
 class DomainError(ValueError):
@@ -148,13 +161,24 @@ def oracle_start_raw(re, rel_rough):
     return np.where(in_dom, starter_eq2_raw(re, rel_rough), 8.0)
 
 
+def _newton_step(a, c, x):
+    """One Newton step on f(x) = x + 2 log10(a*x + c); polymorphic over
+    floats and numpy arrays.
+
+    A log argument of 0 gives -inf / inf = nan, a negative one nan.
+    """
+    u = a * x + c
+    return x - (x + 2.0 * np.log10(u)) / (1.0 + _K * a / u)
+
+
 def solve_colebrook_raw(re, rel_rough, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Vectorized fixed-point solve of the implicit equation.
+    """Vectorized Newton solve of the implicit equation.
 
     Each point carries its own active mask, so a point's iteration
     trajectory is identical no matter how the arrays are chunked across
-    workers. Stops a point once its successive-iterate difference is
-    within tol.
+    workers. Stops a point once its Newton step is within tol; the
+    residual is that last step, |x_k - x_(k-1)|. From ``oracle_start_raw``
+    the points of the default and 1000x1000 meshes take at most 4 steps.
 
     Returns:
         (x, iterations, residual, converged) arrays broadcast over inputs.
@@ -164,71 +188,77 @@ def solve_colebrook_raw(re, rel_rough, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX
         np.asarray(rel_rough, dtype=float),
         np.asarray(x0, dtype=float),
     )
+    a = 2.51 / re_b
+    c = rr_b / 3.71
     x = x.copy()
     active = np.ones(x.shape, dtype=bool)
     iterations = np.zeros(x.shape, dtype=np.int64)
     residual = np.full(x.shape, np.inf)
-    # log of a non-positive argument far outside the domain yields nan;
-    # nan must stay active so the point is reported as non-converged
+    # a step whose log argument is not positive yields nan (far outside the
+    # domain); nan stays active so the point is reported as non-converged
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(max_iter):
             if not active.any():
                 break
-            x_next = np.where(active, colebrook_rhs_raw(re_b, rr_b, x), x)
+            x_next = _newton_step(a, c, x)
             diff = np.abs(x_next - x)
-            residual = np.where(active, diff, residual)
+            np.copyto(x, x_next, where=active)
+            np.copyto(residual, diff, where=active)
             iterations += active
-            x = x_next
-            active &= (diff > tol) | np.isnan(diff)
+            active &= ~(diff <= tol)
     return x, iterations, residual, ~active
 
 
 def solve_colebrook_exact(
     point: FlowPoint, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> SolveReport:
-    """Solve the implicit equation to machine precision by fixed-point iteration.
+    """Solve the implicit equation to machine precision by Newton's method.
 
     The converged iterate is lambda_accurate for every error computation.
     Starts from the rational-polynomial estimate when the point is inside
     the validated domain, else from x0 = 8.
 
-    Runs the recurrence and stopping rule of ``solve_colebrook_raw`` on
-    Python floats instead of 0-d arrays. The map keeps ``np.log10``,
+    Runs the Newton step and stopping rule of ``solve_colebrook_raw`` on
+    Python floats instead of 0-d arrays. The step keeps ``np.log10``,
     which rounds a float exactly as it rounds an array element, where
     ``math.log10`` differs by an ulp on some arguments; the other
-    operations are the same IEEE ones in the same order. So x,
-    iterations and residual equal the vector solve's bit for bit.
+    operations are the same IEEE ones in the same order. A log argument
+    that is not positive gives x = nan without calling the log, as the
+    vector step computes nan there. So x, iterations and residual equal
+    the vector solve's bit for bit.
 
     Args:
         point: flow conditions.
-        tol: successive-iterate tolerance on x (default 1e-12).
-        max_iter: iteration cap (default 100; the in-domain map converges
-            in well under 30).
+        tol: tolerance on the Newton step in x (default 1e-12).
+        max_iter: iteration cap (default 100; in-domain points take a
+            handful of steps, at most 4 on the default mesh).
 
     Raises:
         DomainError: tol or max_iter invalid.
         ConvergenceError: tolerance not reached within max_iter; carries
-            the last iterate. Cannot occur in-domain, where the map is a
-            contraction.
+            the last iterate. Cannot occur in-domain, where the iterates
+            rise monotonically to the root after the first step; far
+            outside it a step can leave the log's domain, and the nan
+            iterate then counts to max_iter.
     """
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     re, rel_rough = float(point.re), float(point.rel_rough)
+    a, c = 2.51 / re, rel_rough / 3.71
     x = float(starter_eq2_raw(re, rel_rough)) if point.in_domain else 8.0
     iters = 0
     res = math.inf
     # a nan difference fails `res <= tol` and keeps iterating, as nan stays
     # active in the vector mask
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for _ in range(max_iter):
-            x_next = float(colebrook_rhs_raw(re, rel_rough, x))
-            res = abs(x_next - x)
-            iters += 1
-            x = x_next
-            if res <= tol:
-                break
+    for _ in range(max_iter):
+        x_next = float(_newton_step(a, c, x)) if a * x + c > 0.0 else math.nan
+        res = abs(x_next - x)
+        iters += 1
+        x = x_next
+        if res <= tol:
+            break
     if not (res <= tol):
         raise ConvergenceError(
             f"no convergence at (re={point.re}, rel_rough={point.rel_rough}) "

@@ -319,11 +319,11 @@ def scan_many(scheme_ids, grid=None, workers=1):
     oracle is solved and checked, the normalized inputs (log10 Re,
     -log10 eps/D) are computed, and every scheme fills its rows of the
     outputs in place, so each stage's temporaries stay in cache. Each
-    worker, the caller itself for one run or a pool thread, takes a
-    contiguous run of whole blocks; there are never more workers than
-    blocks. Every point is computed alone, so maps, stats and
-    sine-fallback counts are the same bit for bit at any block size and
-    worker count.
+    worker, the caller itself for one run or a pool thread, takes one of
+    even contiguous ranges of points and walks it in blocks; there are
+    never more workers than blocks. Every point is computed alone, so
+    maps, stats and sine-fallback counts are the same bit for bit at any
+    block size and worker count.
 
     Returns:
         dict spec id -> (ErrorMap, ErrorStats); variants of one scheme
@@ -362,7 +362,7 @@ def scan_many(scheme_ids, grid=None, workers=1):
                     f"oracle did not converge at (re={re_c[j]}, rel_rough={rough_c[j]})",
                     last_x=float(x_ref[j]),
                 )
-            # from eps/D = 3.71 up the fixed point is not positive; lambda =
+            # from eps/D = 3.71 up the root is not positive; lambda =
             # x**-2 of it is not a friction factor
             nonphysical = np.flatnonzero(x_ref <= 0.0)
             if nonphysical.size:
@@ -383,7 +383,7 @@ def scan_many(scheme_ids, grid=None, workers=1):
 
     n_blocks = -(-grid.size // _SCAN_BLOCK)
     parts = min(workers, n_blocks)
-    bounds = [min(n_blocks * k // parts * _SCAN_BLOCK, grid.size) for k in range(parts + 1)]
+    bounds = [grid.size * k // parts for k in range(parts + 1)]
     if parts == 1:
         counts = [fill(0, grid.size)]
     else:

@@ -258,6 +258,35 @@ class TestScan:
             assert em.rel_err_pct.tobytes() == base[0].rel_err_pct.tobytes()
             assert st == base[1]
 
+    @pytest.mark.parametrize("workers,ranges", [
+        (2, [(0, 216), (216, 432)]),
+        (3, [(0, 144), (144, 288), (288, 432)]),
+    ])
+    def test_workers_take_even_shares(self, workers, ranges, monkeypatch):
+        # whole 64-point blocks would give 2 workers 192 and 240 points
+        taken = []
+
+        class RecordingPool:
+            """Records the point ranges and runs the tasks in the caller."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, lows, highs):
+                taken.extend(zip(lows, highs))
+                return map(fn, lows, highs)
+
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(evaluation, "_SCAN_BLOCK", 64)
+        evaluation.scan_errors("eq2", grid=SMALL, workers=workers)
+        assert taken == ranges
+
     def test_scan_many_shares_one_oracle(self):
         res = evaluation.scan_many(["eq2", "eq2a1"], grid=SMALL)
         em2, _ = res["eq2"]
@@ -269,7 +298,8 @@ class TestScan:
     def test_negative_oracle_root_is_a_domain_error(self, workers, block, monkeypatch):
         # once eps/D/3.71 exceeds 1 the oracle converges to a negative x
         g = evaluation.GridSpec(n_re=5, n_rough=5, rough_max=10)
-        # 3-point blocks put the first bad point, index 20, last in a block
+        # at one worker 3-point blocks put the first bad point, index 20, last
+        # in a block; at three the last worker takes points 16-24
         monkeypatch.setattr(evaluation, "_SCAN_BLOCK", block)
         with pytest.raises(core.DomainError, match=r"not positive at \(re=4000.0, rel_rough=10.0\)"):
             evaluation.scan_errors("eq2a2", grid=g, workers=workers)
