@@ -10,9 +10,13 @@ timed under its own id with no further settings.
 Grid scans run in cache-sized blocks, which may be partitioned across
 workers; every point's computation is independent and the reduction is
 associativity-safe, so results are identical for any block size and
-worker count. The mean error is the correctly rounded
-sum of the map divided by its size, the value ``math.fsum`` gives,
-computed with whole-array numpy operations (``exact_sum``).
+worker count. The mean error is the correctly rounded sum of the map
+divided by its size, the value ``math.fsum`` gives. The sum is kept
+exactly as an integer count of 2**-1074, accumulated block by block
+while each block's errors are in cache and rounded once per map; each
+map's stats are then finished on the scan's workers, one task per
+scheme. ``stats_of`` and ``exact_sum`` compute the same from a whole
+array.
 """
 
 import math
@@ -242,6 +246,31 @@ def _bucket_units(bits):
     return units, nonfinite
 
 
+def _sum_units(flat):
+    """Exact sum of the finite values of a flat contiguous float64 array,
+    as an integer count of 2**-1074, and whether it holds inf or nan;
+    arrays of ``_SUM_SLICE`` elements or more are summed in slices."""
+    bits = flat.view(np.uint64)
+    units = 0
+    nonfinite = False
+    for start in range(0, bits.size, _SUM_SLICE):
+        part, part_nonfinite = _bucket_units(bits[start:start + _SUM_SLICE])
+        units += part
+        nonfinite |= part_nonfinite
+    return units, nonfinite
+
+
+def _round_units(units, nonfinite, values):
+    """The correctly rounded sum of ``values``, from the exact sum of its
+    finite entries in units of 2**-1074 and whether it holds inf or nan."""
+    # integer true division is correctly rounded, and raises
+    # OverflowError past the float range
+    total = units / (1 << 1074)
+    if nonfinite:
+        total = math.fsum(values[~np.isfinite(values)].tolist() + [total])
+    return total
+
+
 def exact_sum(values) -> float:
     """Correctly rounded sum of a float64 array with whole-array numpy
     operations; equal to ``math.fsum(values.tolist())`` bit for bit.
@@ -254,19 +283,32 @@ def exact_sum(values) -> float:
     Arrays of 2**26 elements or more are summed in slices of that size.
     """
     flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    bits = flat.view(np.uint64)
-    units = 0
-    nonfinite = False
-    for start in range(0, bits.size, _SUM_SLICE):
-        part, part_nonfinite = _bucket_units(bits[start:start + _SUM_SLICE])
-        units += part
-        nonfinite |= part_nonfinite
-    # integer true division is correctly rounded, and raises
-    # OverflowError past the float range
-    total = units / (1 << 1074)
-    if nonfinite:
-        total = math.fsum(flat[~np.isfinite(flat)].tolist() + [total])
-    return total
+    return _round_units(*_sum_units(flat), flat)
+
+
+def _finish_stats(errmap, units, nonfinite, max_pct):
+    """``stats_of`` of a non-empty map, given the exact sum of its finite
+    errors in units of 2**-1074, whether an error is inf or nan, and its
+    largest error (nan if any error is nan)."""
+    err = errmap.rel_err_pct
+    n = err.size
+    if math.isnan(max_pct):
+        raise ConfigError(
+            f"cannot summarize a map with NaN errors: "
+            f"{np.count_nonzero(np.isnan(err))} of {n} points are NaN"
+        )
+    ties = np.flatnonzero(err == max_pct)
+    i = int(ties[np.lexsort((errmap.rel_rough[ties], errmap.re[ties]))[0]])
+    mean_pct = _round_units(units, nonfinite, err) / n
+    rank = max(1, math.ceil(0.99 * n))  # nearest-rank definition
+    p99_pct = float(np.partition(err, rank - 1)[rank - 1])
+    return ErrorStats(
+        max_pct=max_pct,
+        argmax_re=float(errmap.re[i]),
+        argmax_rough=float(errmap.rel_rough[i]),
+        mean_pct=mean_pct,
+        p99_pct=p99_pct,
+    )
 
 
 def stats_of(errmap: ErrorMap) -> ErrorStats:
@@ -281,27 +323,10 @@ def stats_of(errmap: ErrorMap) -> ErrorStats:
         ConfigError: the map is empty or holds NaN errors.
     """
     err = errmap.rel_err_pct
-    n = err.size
-    if n == 0:
+    if err.size == 0:
         raise ConfigError("cannot summarize an empty map")
-    max_pct = float(err.max())
-    if math.isnan(max_pct):
-        raise ConfigError(
-            f"cannot summarize a map with NaN errors: "
-            f"{np.count_nonzero(np.isnan(err))} of {n} points are NaN"
-        )
-    ties = np.flatnonzero(err == max_pct)
-    i = int(ties[np.lexsort((errmap.rel_rough[ties], errmap.re[ties]))[0]])
-    mean_pct = exact_sum(err) / n
-    rank = max(1, math.ceil(0.99 * n))  # nearest-rank definition
-    p99_pct = float(np.partition(err, rank - 1)[rank - 1])
-    return ErrorStats(
-        max_pct=max_pct,
-        argmax_re=float(errmap.re[i]),
-        argmax_rough=float(errmap.rel_rough[i]),
-        mean_pct=mean_pct,
-        p99_pct=p99_pct,
-    )
+    flat = np.ascontiguousarray(err, dtype=np.float64).reshape(-1)
+    return _finish_stats(errmap, *_sum_units(flat), float(err.max()))
 
 
 # points per block of scan_many's pass over the mesh: 512 KiB per float64
@@ -318,19 +343,25 @@ def scan_many(scheme_ids, grid=None, workers=1):
     walked once, in blocks of ``_SCAN_BLOCK`` points; per block the
     oracle is solved and checked, the normalized inputs (log10 Re,
     -log10 eps/D) are computed, and every scheme fills its rows of the
-    outputs in place, so each stage's temporaries stay in cache. Each
+    outputs in place, so each stage's temporaries stay in cache. While a
+    block's errors are in cache they are also summed exactly, as integer
+    units that add without rounding, and their maximum is kept. Each
     worker, the caller itself for one run or a pool thread, takes one of
     even contiguous ranges of points and walks it in blocks; there are
-    never more workers than blocks. Every point is computed alone, so
-    maps, stats and sine-fallback counts are the same bit for bit at any
-    block size and worker count.
+    never more workers than blocks. After the fill the same workers
+    finish the stats, one task per scheme: the NaN check, the argmax
+    among ties, the 99th percentile and the one rounding of the mean,
+    as ``stats_of`` does. Every point is computed alone, so maps, stats
+    and sine-fallback counts are the same bit for bit at any block size
+    and worker count, and the stats equal ``stats_of`` of the maps.
 
     Returns:
         dict spec id -> (ErrorMap, ErrorStats); variants of one scheme
         (``schemes.variant``) have ids of their own.
 
     Raises:
-        ConfigError: workers < 1, or two schemes with one id.
+        ConfigError: workers < 1, two schemes with one id, or NaN errors
+            in a map (the first such scheme in input order is named).
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -348,9 +379,12 @@ def scan_many(scheme_ids, grid=None, workers=1):
     normalized = any(s.starter != "eq2" or s.transformed for s in spec_list)
 
     def fill(lo, hi):
-        """Fill points [lo, hi) block by block; returns the per-spec
-        sine-fallback counts."""
-        counts = [0] * len(spec_list)
+        """Fill points [lo, hi) block by block. Returns, each as a list
+        over the specs: the sine-fallback counts, the exact error sums in
+        units of 2**-1074, whether an error is inf or nan, and the
+        largest errors (nan where an error is nan)."""
+        n = len(spec_list)
+        counts, units, nonfinite, tops = [0] * n, [0] * n, [False] * n, [-math.inf] * n
         for b_lo in range(lo, hi, _SCAN_BLOCK):
             b_hi = min(b_lo + _SCAN_BLOCK, hi)
             re_c, rough_c = re_flat[b_lo:b_hi], rough_flat[b_lo:b_hi]
@@ -379,23 +413,36 @@ def scan_many(scheme_ids, grid=None, workers=1):
                 np.power(x_a, -2.0, out=lam_a)
                 core.relative_error_pct_raw(lam_ref_c, lam_a, out=err)
                 counts[k] += nfb
-        return counts
+                # the block's error row is still in cache; integer units
+                # add exactly, so the blocks' sums round to the map's
+                block_units, block_nonfinite = _sum_units(err)
+                units[k] += block_units
+                nonfinite[k] |= block_nonfinite
+                tops[k] = float(np.maximum(tops[k], err.max()))
+        return counts, units, nonfinite, tops
+
+    def run(pool_map):
+        """Fill the outputs, then finish each spec's stats, with pool_map
+        running the workers' and the specs' tasks."""
+        counts, units, nonfinite, tops = zip(*pool_map(fill, bounds[:-1], bounds[1:]))
+        errmaps = [
+            ErrorMap(grid, re_flat, rough_flat, lam_ref, *rows, sine_fallbacks=sum(nfb))
+            for rows, nfb in zip(outs, zip(*counts))
+        ]
+        # max propagates nan, which the finishing check reports
+        stats = pool_map(
+            _finish_stats, errmaps, map(sum, zip(*units)), map(any, zip(*nonfinite)),
+            np.max(tops, axis=0).tolist(),
+        )
+        return {spec.id: (em, st) for spec, em, st in zip(spec_list, errmaps, stats)}
 
     n_blocks = -(-grid.size // _SCAN_BLOCK)
     parts = min(workers, n_blocks)
     bounds = [grid.size * k // parts for k in range(parts + 1)]
     if parts == 1:
-        counts = [fill(0, grid.size)]
-    else:
-        with ThreadPoolExecutor(max_workers=parts) as pool:
-            counts = list(pool.map(fill, bounds[:-1], bounds[1:]))
-
-    out = {}
-    for k, spec in enumerate(spec_list):
-        nfb = sum(c[k] for c in counts)
-        errmap = ErrorMap(grid, re_flat, rough_flat, lam_ref, *outs[k], sine_fallbacks=nfb)
-        out[spec.id] = (errmap, stats_of(errmap))
-    return out
+        return run(map)
+    with ThreadPoolExecutor(max_workers=parts) as pool:
+        return run(pool.map)
 
 
 def scan_errors(scheme_id, grid=None, workers=1):
@@ -494,11 +541,21 @@ def export_heatmap(errmap: ErrorMap, path):
     raster row is the smallest roughness). Intensity is linear in
     rel_err_pct, clipped at the map maximum; an all-zero map is all
     black. One sample per line keeps the format's line-length limit.
+
+    Raises:
+        ConfigError: the map has no grid geometry or holds inf or NaN
+            errors, which have no intensity; nothing is written.
     """
     if errmap.grid is None:
         raise ConfigError("heatmap export needs a map with grid geometry")
     w, h = errmap.grid.n_re, errmap.grid.n_rough
     err = errmap.rel_err_pct
+    nonfinite = np.count_nonzero(~np.isfinite(err))
+    if nonfinite:
+        raise ConfigError(
+            f"cannot draw a heatmap of a map with non-finite errors: "
+            f"{nonfinite} of {err.size} points are inf or NaN"
+        )
     top = float(err.max())
     if top > 0.0:
         pix = np.floor(err / top * 255.0 + 0.5).astype(np.int64)

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output shapes, config handling."""
 
 import json
+import math
 
 import pytest
 
@@ -166,6 +167,22 @@ class TestScan:
         header = csv.read_text().splitlines()[0]
         assert header == "re,rel_rough,lambda_ref,lambda_approx,rel_err_pct"
         assert pgm.read_bytes().startswith(b"P2\n9 7\n255\n")
+
+    def test_heatmap_of_non_finite_errors_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        relative_error = core.relative_error_pct_raw
+
+        def first_error_inf(lambda_accurate, lambda_approx, out=None):
+            out = relative_error(lambda_accurate, lambda_approx, out=out)
+            out[0] = math.inf
+            return out
+
+        monkeypatch.setattr(core, "relative_error_pct_raw", first_error_inf)
+        pgm = tmp_path / "m.pgm"
+        rc, _, err = run(capsys, "scan", "--scheme", "eq2a2", "--grid", "6x5",
+                         "--heatmap", str(pgm))
+        assert rc == 1
+        assert "1 of 30 points are inf or NaN" in err
+        assert not pgm.exists()
 
     def test_artifacts_reproducible_across_worker_counts(self, capsys, tmp_path):
         paths = []

@@ -207,6 +207,83 @@ class TestScan:
                 assert em.sine_fallbacks == base_em.sine_fallbacks
                 assert st == base_st
 
+    @pytest.mark.parametrize("block", [3, 7, 64, evaluation._SCAN_BLOCK])
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_folded_stats_equal_whole_map_stats(self, block, workers, monkeypatch):
+        # the scan sums each block's errors while filling it; stats_of sums
+        # the returned map at once
+        g = evaluation.GridSpec(n_re=23, n_rough=7)
+        specs = ["eq6a", schemes.variant("eq6a", "pade"), "eq2a2-pade"]
+        monkeypatch.setattr(evaluation, "_SCAN_BLOCK", block)
+        res = evaluation.scan_many(specs, grid=g, workers=workers)
+        assert list(res) == ["eq6a", "eq6a-sinpade", "eq2a2-pade"]
+        for sid, (em, st) in res.items():
+            whole = evaluation.stats_of(em)
+            assert st == whole, sid
+            assert st.mean_pct.hex() == whole.mean_pct.hex(), sid
+
+    # 161 points in 7-point blocks: at 2 workers the second worker takes
+    # points 80-160, and its last block is points 157-160
+    POISON_GRID = evaluation.GridSpec(n_re=23, n_rough=7)
+
+    def _poisoned_scan(self, monkeypatch, specs, bad, value=math.nan):
+        """scan_many of specs at 2 workers in 7-point blocks, with the
+        errors at bad[spec id] (flat mesh indices) set to value inside
+        the fill: evaluate_scheme_raw returns a nan x there, and its nan
+        error becomes value (x = 0 would give an inf lambda only with a
+        divide warning)."""
+        mesh, _ = evaluation.scan_errors("eq2", grid=self.POISON_GRID)
+        evaluate, rel_err = schemes.evaluate_scheme_raw, core.relative_error_pct_raw
+
+        def evaluate_poisoned(spec, re, rel_rough, ab=None):
+            x, nfb = evaluate(spec, re, rel_rough, ab)
+            for j in bad.get(spec.id, ()):
+                x = np.where((re == mesh.re[j]) & (rel_rough == mesh.rel_rough[j]), math.nan, x)
+            return x, nfb
+
+        def rel_err_poisoned(lambda_accurate, lambda_approx, out=None):
+            out = rel_err(lambda_accurate, lambda_approx, out=out)
+            out[np.isnan(out)] = value
+            return out
+
+        monkeypatch.setattr(schemes, "evaluate_scheme_raw", evaluate_poisoned)
+        monkeypatch.setattr(core, "relative_error_pct_raw", rel_err_poisoned)
+        monkeypatch.setattr(evaluation, "_SCAN_BLOCK", 7)
+        return evaluation.scan_many(specs, grid=self.POISON_GRID, workers=2)
+
+    def test_nan_inside_a_block_is_reported_as_stats_of_reports_it(self, monkeypatch):
+        clean, _ = evaluation.scan_errors("eq6a", grid=self.POISON_GRID)
+        err = clean.rel_err_pct.copy()
+        err[[158, 160]] = math.nan
+        with pytest.raises(evaluation.ConfigError) as whole:
+            evaluation.stats_of(replace(clean, rel_err_pct=err))
+        assert str(whole.value).endswith(": 2 of 161 points are NaN")
+        with pytest.raises(evaluation.ConfigError) as folded:
+            self._poisoned_scan(monkeypatch, ["eq2", "eq6a"], {"eq6a": (158, 160)})
+        assert str(folded.value) == str(whole.value)
+
+    def test_first_nan_scheme_in_input_order_is_reported(self, monkeypatch):
+        bad = {"eq6a": (158,), "eq2a2-pade": (3, 158, 160)}
+        for order, count in ((["eq2", "eq6a", "eq2a2-pade"], 1),
+                             (["eq2", "eq2a2-pade", "eq6a"], 3)):
+            with pytest.raises(evaluation.ConfigError, match=f": {count} of 161 points are NaN$"):
+                self._poisoned_scan(monkeypatch, order, bad)
+
+    def test_inf_inside_a_block_gives_the_whole_map_stats(self, monkeypatch):
+        # for eq6a one inf in each worker's range, neither in a worker's last
+        # block: the max, its tie-break and the inf flag cross blocks and
+        # workers; rough-major point 150 has the lower Re of the two. For
+        # eq2a2-pade the first worker alone sees an inf.
+        bad = {"eq6a": (40, 150), "eq2a2-pade": (40,)}
+        res = self._poisoned_scan(monkeypatch, ["eq6a", "eq2a2-pade"], bad, math.inf)
+        for sid, (em, st) in res.items():
+            assert np.flatnonzero(np.isinf(em.rel_err_pct)).tolist() == list(bad[sid])
+            whole = evaluation.stats_of(em)
+            assert st == whole
+            assert st.max_pct == st.mean_pct == math.inf
+            j = bad[sid][-1]
+            assert (st.argmax_re, st.argmax_rough) == (em.re[j], em.rel_rough[j])
+
     def test_workers_fill_the_returned_arrays_in_place(self, monkeypatch):
         # per-worker results joined into the outputs would hold the
         # outputs' bytes twice at the peak
@@ -231,7 +308,8 @@ class TestScan:
         pools = []
 
         class InlinePool:
-            """Records its size and runs the tasks in the caller: no thread starts."""
+            """Records its size and runs the tasks, the fill's and the stats'
+            finishing, in the caller: no thread starts."""
 
             def __init__(self, max_workers):
                 pools.append(max_workers)
@@ -267,7 +345,8 @@ class TestScan:
         taken = []
 
         class RecordingPool:
-            """Records the point ranges and runs the tasks in the caller."""
+            """Records the fill's point ranges and runs the tasks, the
+            stats' finishing too, in the caller."""
 
             def __init__(self, max_workers):
                 pass
@@ -278,9 +357,10 @@ class TestScan:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, lows, highs):
-                taken.extend(zip(lows, highs))
-                return map(fn, lows, highs)
+            def map(self, fn, *iterables):
+                if fn is not evaluation._finish_stats:
+                    taken.extend(zip(*iterables))
+                return map(fn, *iterables)
 
         monkeypatch.setattr(evaluation, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(evaluation, "_SCAN_BLOCK", 64)
@@ -486,6 +566,24 @@ class TestExports:
         path = tmp_path / "zero.pgm"
         evaluation.export_heatmap(em, path)
         assert path.read_bytes() == b"P2\n2 2\n255\n0\n0\n0\n0\n"
+
+    @pytest.mark.parametrize("bad,count", [(math.nan, 1), (math.inf, 2)])
+    def test_heatmap_rejects_non_finite_errors(self, bad, count, tmp_path):
+        # a nan maximum drew every pixel black; an inf one divided inf by inf
+        err = np.array([0.0, 1.0, 0.5, 0.25])
+        err[-count:] = bad
+        em = evaluation.ErrorMap(
+            grid=evaluation.GridSpec(n_re=2, n_rough=2),
+            re=np.array([4000.0, 1e8, 4000.0, 1e8]),
+            rel_rough=np.array([1e-6, 1e-6, 0.05, 0.05]),
+            lambda_ref=np.ones(4),
+            lambda_approx=np.ones(4),
+            rel_err_pct=err,
+        )
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(evaluation.ConfigError, match=f"{count} of 4 points are inf or NaN"):
+            evaluation.export_heatmap(em, path)
+        assert not path.exists()
 
     def test_heatmap_needs_grid_geometry(self, tmp_path):
         em, _ = evaluation.scan_errors("eq2", grid=evaluation.GridSpec(n_re=3, n_rough=2))

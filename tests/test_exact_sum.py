@@ -129,6 +129,49 @@ def test_slices_are_pooled_exactly(monkeypatch):
     assert evaluation.exact_sum(x[:-1]).hex() == math.fsum(x[:-1].tolist()).hex()
 
 
+# below 2**1000 in magnitude no sum of 80 terms overflows, so the pieces'
+# total is compared with fsum alone
+_BOUNDED_OR_INF = st.one_of(
+    FINITE.filter(lambda x: abs(x) < 2.0**1000), st.sampled_from([math.inf, -math.inf])
+)
+
+
+@st.composite
+def _split(draw):
+    """(values, cut points): an array and where to cut it into pieces,
+    empty pieces included."""
+    xs = draw(st.lists(_BOUNDED_OR_INF, min_size=1, max_size=80))
+    cuts = sorted(draw(st.lists(st.integers(0, len(xs)), max_size=6)))
+    return xs, cuts
+
+
+def _sum_outcome(fn):
+    try:
+        return fn().hex()
+    except ValueError:  # inf + -inf
+        return "ValueError"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_split())
+@example(([TINY, -TINY, SMALLEST_NORMAL, -0.0], [1, 1, 3]))
+@example(([1e16, 1.0, -1e16, math.inf], [1, 2]))
+@example(([math.inf, 2.0, -math.inf], [1]))
+def test_units_of_pieces_add_to_the_sum(case):
+    # a scan sums each block's units as it fills the block and rounds the
+    # map's total once
+    xs, cuts = case
+    x = np.array(xs)
+    units, nonfinite = 0, False
+    for piece in np.split(x, cuts):
+        piece_units, piece_nonfinite = evaluation._bucket_units(piece.view(np.uint64))
+        units += piece_units
+        nonfinite |= piece_nonfinite
+    assert nonfinite == (not np.isfinite(x).all())
+    got = _sum_outcome(lambda: evaluation._round_units(units, nonfinite, x))
+    assert got == _sum_outcome(lambda: math.fsum(x.tolist()))
+
+
 def test_accepts_any_layout():
     x = np.arange(12.0).reshape(3, 4) * 0.1
     assert evaluation.exact_sum(x.T) == math.fsum(x.ravel().tolist())
