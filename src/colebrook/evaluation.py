@@ -8,15 +8,19 @@ included, so a variant (``schemes.variant``) is scanned, counted and
 timed under its own id with no further settings.
 
 Grid scans run in cache-sized blocks, which may be partitioned across
-workers; every point's computation is independent and the reduction is
-associativity-safe, so results are identical for any block size and
-worker count. The mean error is the correctly rounded sum of the map
-divided by its size, the value ``math.fsum`` gives. The sum is kept
-exactly as an integer count of 2**-1074, accumulated block by block
-while each block's errors are in cache and rounded once per map; each
-map's stats are then finished on the scan's workers, one task per
-scheme. ``stats_of`` and ``exact_sum`` compute the same from a whole
-array.
+workers. Per block the inputs' extremes, which every scheme's input
+check reads, the oracle, the normalized inputs and each distinct prefix
+of the schemes (a starter with its sine strategy, then each
+acceleration step) are computed once and shared by every scheme that
+needs them. Every point's computation is independent
+and the reduction is associativity-safe, so results are identical for
+any block size and worker count. The mean error is the correctly
+rounded sum of the map divided by its size, the value ``math.fsum``
+gives. The sum is kept exactly as an integer count of 2**-1074,
+accumulated block by block while each block's errors are in cache and
+rounded once per map; each map's stats are then finished on the scan's
+workers, one task per scheme. ``stats_of`` and ``exact_sum`` compute
+the same from a whole array.
 """
 
 import math
@@ -340,20 +344,27 @@ def scan_many(scheme_ids, grid=None, workers=1):
 
     The outputs are allocated once: the oracle lambda and, per scheme,
     an array whose two rows are its lambda and error maps. The mesh is
-    walked once, in blocks of ``_SCAN_BLOCK`` points; per block the
-    oracle is solved and checked, the normalized inputs (log10 Re,
-    -log10 eps/D) are computed, and every scheme fills its rows of the
-    outputs in place, so each stage's temporaries stay in cache. While a
-    block's errors are in cache they are also summed exactly, as integer
-    units that add without rounding, and their maximum is kept. Each
-    worker, the caller itself for one run or a pool thread, takes one of
-    even contiguous ranges of points and walks it in blocks; there are
-    never more workers than blocks. After the fill the same workers
-    finish the stats, one task per scheme: the NaN check, the argmax
-    among ties, the 99th percentile and the one rounding of the mean,
-    as ``stats_of`` does. Every point is computed alone, so maps, stats
-    and sine-fallback counts are the same bit for bit at any block size
-    and worker count, and the stats equal ``stats_of`` of the maps.
+    walked once, in blocks of ``_SCAN_BLOCK`` points. Per block every
+    scheme's inputs are first checked on the block's extremes, in input
+    order, so the first failing scheme in input order is the one
+    reported; then the oracle is solved and checked, the normalized inputs
+    (log10 Re, -log10 eps/D) are computed, and every scheme fills its
+    rows of the outputs in place, so each stage's temporaries stay in
+    cache. The schemes run grouped by starter and sine strategy, and each
+    group shares one memo of prefixes (``schemes._recipe``): a starter or
+    an acceleration step that several schemes take is computed once per
+    block. The memo is dropped when its group ends, so it holds one
+    group's prefixes at a time. While a block's errors are in cache they
+    are also summed exactly, as integer units that add without rounding,
+    and their maximum is kept. Each worker, the caller itself for one run
+    or a pool thread, takes one of even contiguous ranges of points and
+    walks it in blocks; there are never more workers than blocks. After
+    the fill the same workers finish the stats, one task per scheme: the
+    NaN check, the argmax among ties, the 99th percentile and the one
+    rounding of the mean, as ``stats_of`` does. Every point is computed
+    alone, so maps, stats and sine-fallback counts are the same bit for
+    bit at any block size and worker count, and the stats equal
+    ``stats_of`` of the maps.
 
     Returns:
         dict spec id -> (ErrorMap, ErrorStats); variants of one scheme
@@ -362,6 +373,9 @@ def scan_many(scheme_ids, grid=None, workers=1):
     Raises:
         ConfigError: workers < 1, two schemes with one id, or NaN errors
             in a map (the first such scheme in input order is named).
+        DomainError: a scheme's inputs fail ``schemes._check_inputs``
+            (the first such scheme in input order is named), or the
+            oracle root is not positive.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -377,6 +391,11 @@ def scan_many(scheme_ids, grid=None, workers=1):
     outs = [np.empty((2, grid.size)) for _ in spec_list]
     # the eq2 starter and direct steps take no normalized inputs
     normalized = any(s.starter != "eq2" or s.transformed for s in spec_list)
+    # spec indices by starter and sine strategy, each group in input order;
+    # a group's schemes share their prefixes through one memo per block
+    groups = {}
+    for k, spec in enumerate(spec_list):
+        groups.setdefault(schemes._starter_key(spec), []).append(k)
 
     def fill(lo, hi):
         """Fill points [lo, hi) block by block. Returns, each as a list
@@ -388,6 +407,11 @@ def scan_many(scheme_ids, grid=None, workers=1):
         for b_lo in range(lo, hi, _SCAN_BLOCK):
             b_hi = min(b_lo + _SCAN_BLOCK, hi)
             re_c, rough_c = re_flat[b_lo:b_hi], rough_flat[b_lo:b_hi]
+            # every spec is checked before anything is evaluated, in input
+            # order, so the first failing spec is the one reported
+            extremes = (re_c.min(), re_c.max(), rough_c.min(), rough_c.max())
+            for spec in spec_list:
+                schemes._check_inputs(spec, *extremes)
             x0 = core.oracle_start_raw(re_c, rough_c)
             x_ref, _, _, converged = core.solve_colebrook_raw(re_c, rough_c, x0)
             if not converged.all():
@@ -407,18 +431,21 @@ def scan_many(scheme_ids, grid=None, workers=1):
                 )
             lam_ref_c = np.power(x_ref, -2.0, out=lam_ref[b_lo:b_hi])
             ab = (np.log10(re_c), -np.log10(rough_c)) if normalized else None
-            for k, (spec, rows) in enumerate(zip(spec_list, outs)):
-                lam_a, err = rows[:, b_lo:b_hi]
-                x_a, nfb = schemes.evaluate_scheme_raw(spec, re_c, rough_c, ab)
-                np.power(x_a, -2.0, out=lam_a)
-                core.relative_error_pct_raw(lam_ref_c, lam_a, out=err)
-                counts[k] += nfb
-                # the block's error row is still in cache; integer units
-                # add exactly, so the blocks' sums round to the map's
-                block_units, block_nonfinite = _sum_units(err)
-                units[k] += block_units
-                nonfinite[k] |= block_nonfinite
-                tops[k] = float(np.maximum(tops[k], err.max()))
+            for group in groups.values():
+                # one group's prefixes at a time: the memo is dropped here
+                memo = {}
+                for k in group:
+                    lam_a, err = outs[k][:, b_lo:b_hi]
+                    x_a, nfb = schemes.evaluate_scheme_raw(spec_list[k], re_c, rough_c, ab, memo)
+                    np.power(x_a, -2.0, out=lam_a)
+                    core.relative_error_pct_raw(lam_ref_c, lam_a, out=err)
+                    counts[k] += nfb
+                    # the block's error row is still in cache; integer units
+                    # add exactly, so the blocks' sums round to the map's
+                    block_units, block_nonfinite = _sum_units(err)
+                    units[k] += block_units
+                    nonfinite[k] |= block_nonfinite
+                    tops[k] = float(np.maximum(tops[k], err.max()))
         return counts, units, nonfinite, tops
 
     def run(pool_map):

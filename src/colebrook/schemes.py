@@ -14,6 +14,13 @@ implementation, ``_recipe``: plain arithmetic that runs unchanged on
 Python floats and on numpy arrays. ``evaluate_scheme`` (one point) and
 ``evaluate_scheme_raw`` (arrays) run one input check, ``_check_inputs``,
 and then the recipe, so the two agree bit for bit.
+
+Schemes of one starter form prefix chains: ``eqNa`` is one step on
+``eqN``, ``eq2a2`` one step on ``eq2a1``. Over one block of arrays a
+caller (``evaluation.scan_many``) can give the recipe a memo, through
+which those schemes compute each shared starter and step once; the
+results are the same bit for bit. Floats, counting arrays and single
+array calls take no memo and run every step.
 """
 
 import math
@@ -279,8 +286,9 @@ def _check_inputs(spec, re_min, re_max, rough_min, rough_max):
     (one point's values, twice) are finite with Re > 0 and eps/D >= 0, as
     in ``FlowPoint``, and meet the scheme's preconditions: eps/D at least
     the smooth floor for a normalized starter, Re > 1 for eq3 (a = log10
-    Re must be positive), eps/D > 0 for a transformed step. A NaN makes
-    both extremes NaN."""
+    Re must be positive), eps/D > 0 for a transformed step; the message
+    of a failed precondition names the scheme. A NaN makes both extremes
+    NaN."""
     if not 0.0 < re_min <= re_max < math.inf:
         raise DomainError(f"re must be positive and finite, got values in [{re_min}, {re_max}]")
     if not 0.0 <= rough_min <= rough_max < math.inf:
@@ -289,16 +297,23 @@ def _check_inputs(spec, re_min, re_max, rough_min, rough_max):
         )
     if spec.starter != "eq2" and rough_min < MIN_NORMALIZED_ROUGH:
         raise DomainError(
-            f"normalized starters require rel_rough >= {MIN_NORMALIZED_ROUGH}, "
+            f"{spec.id}: normalized starters require rel_rough >= {MIN_NORMALIZED_ROUGH}, "
             f"got {rough_min}"
         )
     if spec.starter == "eq3" and not re_min > 1.0:
-        raise DomainError(f"starter eq3 requires a = log10(Re) > 0, got re={re_min}")
+        raise DomainError(f"{spec.id}: starter eq3 requires a = log10(Re) > 0, got re={re_min}")
     if spec.transformed and not rough_min > 0.0:
-        raise DomainError("transformed acceleration undefined for rel_rough = 0")
+        raise DomainError(f"{spec.id}: transformed acceleration undefined for rel_rough = 0")
 
 
-def _recipe(spec, re, rel_rough, sine, ab=None):
+def _starter_key(spec):
+    """The memo key of a scheme's starter: the starter with its sine
+    strategy. A prefix of k acceleration steps extends it with the step
+    form, the constants mode and k."""
+    return spec.starter, spec.sin_strategy
+
+
+def _recipe(spec, re, rel_rough, sine, ab=None, memo=None):
     """The scheme's arithmetic: normalization, starter, then the
     acceleration steps or the one-log step.
 
@@ -307,29 +322,48 @@ def _recipe(spec, re, rel_rough, sine, ab=None):
     The normalized inputs (a, b) = (log10 Re, -log10 eps/D) are taken
     from ``ab`` when given, else computed here, each at most once, and
     b is reused by transformed steps.
+
+    ``memo``, a dict over one block of arrays, holds the prefixes that
+    schemes of one starter share: the starter under ``_starter_key``,
+    then the result of each acceleration step. A prefix found there is
+    taken as it is, and one computed here is stored, so a scheme that
+    extends another's prefix computes only its own steps. Without a memo,
+    as on floats and counting arrays, every step is computed.
     """
     a, b = (None, None) if ab is None else ab
-    if spec.starter == "eq2":
-        x = starter_eq2_raw(re, rel_rough)
-    else:
-        if ab is None:
-            a = np.log10(re)
-            b = -np.log10(rel_rough)
-        if spec.starter == "eq3":
-            x = starter_eq3_raw(a, b)
+    x = None if memo is None else memo.get(_starter_key(spec))
+    if x is None:
+        if spec.starter == "eq2":
+            x = starter_eq2_raw(re, rel_rough)
         else:
-            x = _SINE_STARTER_FNS[spec.starter](a, b, sin=sine)
+            if ab is None:
+                a = np.log10(re)
+                b = -np.log10(rel_rough)
+            if spec.starter == "eq3":
+                x = starter_eq3_raw(a, b)
+            else:
+                x = _SINE_STARTER_FNS[spec.starter](a, b, sin=sine)
+        if memo is not None:
+            memo[_starter_key(spec)] = x
     if spec.log_strategy == "pade-one-log":
         return kernels.one_log_second_iteration_raw(re, rel_rough, x)[0]
-    if spec.transformed:
+    transformed = spec.transformed
+    if transformed:
         c1, c2 = _TRANSFORMED_CONSTANTS[spec.constants]
         if b is None:
             b = -np.log10(rel_rough)
-        for _ in range(spec.accel_steps):
+    for k in range(1, spec.accel_steps + 1):
+        if memo is not None:
+            key = (*_starter_key(spec), spec.accel_form, spec.constants, k)
+            if key in memo:
+                x = memo[key]
+                continue
+        if transformed:
             x = c1 + 2.0 * b - c2 * np.log(1.0 - theta_raw(re, rel_rough, x))
-    else:
-        for _ in range(spec.accel_steps):
+        else:
             x = colebrook_rhs_raw(re, rel_rough, x)
+        if memo is not None:
+            memo[key] = x
     return x
 
 
@@ -357,12 +391,20 @@ def evaluate_scheme(spec, point: FlowPoint) -> FrictionIterate:
     return FrictionIterate(float(x), step=spec.accel_steps)
 
 
-def evaluate_scheme_raw(spec, re, rel_rough, ab=None):
+def evaluate_scheme_raw(spec, re, rel_rough, ab=None, memo=None):
     """Vectorized scheme evaluation over arrays of (Re, eps/D).
 
     ``ab`` may carry the normalized inputs (log10 Re, -log10 eps/D) of
     the same arrays, so that several schemes over one mesh share them;
     the result is the same bit for bit.
+
+    ``memo`` is a dict kept over one block of arrays by a caller that
+    has already run ``_check_inputs`` on the block for this scheme, so
+    the check is not repeated. The scheme's starter and acceleration
+    prefixes are shared through it with the other schemes of its
+    starter (see ``_recipe``), and the starter's sine-fallback count is
+    stored beside it, so a scheme that reuses the starter reports that
+    count. The result is the same bit for bit.
 
     Returns:
         (x, sine_fallbacks): final x array and the count of sine-kernel
@@ -370,12 +412,22 @@ def evaluate_scheme_raw(spec, re, rel_rough, ab=None):
         exact sine instead.
 
     Raises:
-        DomainError: the extremes of Re or eps/D fail ``_check_inputs``.
+        DomainError: the extremes of Re or eps/D fail ``_check_inputs``;
+            not checked with a memo.
     """
     spec = get_scheme(spec)
     re = np.asarray(re, dtype=float)
     rel_rough = np.asarray(rel_rough, dtype=float)
-    if re.size and rel_rough.size:
-        _check_inputs(spec, re.min(), re.max(), rel_rough.min(), rel_rough.max())
     sine, count = _make_sine(spec.sin_strategy)
-    return _recipe(spec, re, rel_rough, sine, ab), count()
+    if memo is None:
+        if re.size and rel_rough.size:
+            _check_inputs(spec, re.min(), re.max(), rel_rough.min(), rel_rough.max())
+        return _recipe(spec, re, rel_rough, sine, ab), count()
+    # a starter taken from the memo calls no sine, so its count is kept
+    # beside it by the call that computed it
+    count_key = _starter_key(spec) + ("sine_fallbacks",)
+    fallbacks = memo.get(count_key)
+    x = _recipe(spec, re, rel_rough, sine, ab, memo)
+    if fallbacks is None:
+        fallbacks = memo[count_key] = count()
+    return x, fallbacks

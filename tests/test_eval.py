@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -235,8 +236,8 @@ class TestScan:
         mesh, _ = evaluation.scan_errors("eq2", grid=self.POISON_GRID)
         evaluate, rel_err = schemes.evaluate_scheme_raw, core.relative_error_pct_raw
 
-        def evaluate_poisoned(spec, re, rel_rough, ab=None):
-            x, nfb = evaluate(spec, re, rel_rough, ab)
+        def evaluate_poisoned(spec, re, rel_rough, ab=None, memo=None):
+            x, nfb = evaluate(spec, re, rel_rough, ab, memo)
             for j in bad.get(spec.id, ()):
                 x = np.where((re == mesh.re[j]) & (rel_rough == mesh.rel_rough[j]), math.nan, x)
             return x, nfb
@@ -366,6 +367,88 @@ class TestScan:
         monkeypatch.setattr(evaluation, "_SCAN_BLOCK", 64)
         evaluation.scan_errors("eq2", grid=SMALL, workers=workers)
         assert taken == ranges
+
+    # shared prefixes beside specs that must not share: another step form,
+    # constants mode, log strategy or sine strategy
+    PREFIX_SPECS = [
+        "eq2", "eq2a1", "eq2a2", "eq2a2-pade", "eq2a1-t", "eq2a2-t",
+        schemes.variant("eq2a2-t", constants="exact"), "eq6", "eq6a", "eq6a-t",
+        schemes.variant("eq6", "pade"), schemes.variant("eq6a", "pade"),
+        schemes.variant("eq6a", "quintic"),
+    ]
+
+    def test_each_shared_prefix_is_computed_once_per_block(self, monkeypatch):
+        """One block of the sweep's specs computes each starter with its
+        sine strategy once, and each acceleration step once per prefix."""
+        specs = list(schemes.scheme_ids()) + [
+            schemes.variant(sid, kernel)
+            for sid in ("eq4a", "eq5a", "eq6a") for kernel in ("pade", "quintic")
+        ]
+        calls = Counter()
+
+        def counted(name, fn):
+            def count(*args, **kwargs):
+                sin = kwargs.get("sin")
+                calls[name, None if sin is None else sin is np.sin] += 1
+                return fn(*args, **kwargs)
+            return count
+
+        for name in ("starter_eq2_raw", "starter_eq3_raw", "colebrook_rhs_raw", "theta_raw"):
+            monkeypatch.setattr(schemes, name, counted(name, getattr(schemes, name)))
+        for name, fn in list(schemes._SINE_STARTER_FNS.items()):
+            monkeypatch.setitem(schemes._SINE_STARTER_FNS, name, counted(name, fn))
+        res = evaluation.scan_many(specs, grid=SMALL)
+        assert SMALL.size <= evaluation._SCAN_BLOCK
+        # per sine starter the exact sine once and each kernel once
+        assert calls == {
+            ("starter_eq2_raw", None): 1, ("starter_eq3_raw", None): 1,
+            ("eq4", True): 1, ("eq4", False): 2, ("eq5", True): 1, ("eq5", False): 2,
+            ("eq6", True): 1, ("eq6", False): 2,
+            # eq2a1 and eq2a2's first step are one; then eq3a to eq6a, and
+            # eq4a to eq6a with each of the 2 kernel sines
+            ("colebrook_rhs_raw", None): 2 + 4 + 6,
+            # eq2a1-t and eq2a2-t's first step are one; then eq3a-t to eq6a-t
+            ("theta_raw", None): 2 + 4,
+        }
+        assert list(res) == [schemes.get_scheme(s).id for s in specs]
+
+    @pytest.mark.parametrize("block", [3, 7, evaluation._SCAN_BLOCK])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_prefixes_equal_evaluation_per_spec(self, block, workers, monkeypatch):
+        g = evaluation.GridSpec(n_re=23, n_rough=7)
+        monkeypatch.setattr(evaluation, "_SCAN_BLOCK", block)
+        res = evaluation.scan_many(self.PREFIX_SPECS, grid=g, workers=workers)
+        assert list(res) == [schemes.get_scheme(s).id for s in self.PREFIX_SPECS]
+        for spec in self.PREFIX_SPECS:
+            em, st = res[schemes.get_scheme(spec).id]
+            x, fallbacks = schemes.evaluate_scheme_raw(spec, em.re, em.rel_rough)
+            lam = np.power(x, -2.0)
+            err = core.relative_error_pct_raw(em.lambda_ref, lam)
+            assert em.lambda_approx.tobytes() == lam.tobytes(), spec
+            assert em.rel_err_pct.tobytes() == err.tobytes(), spec
+            assert em.sine_fallbacks == fallbacks, spec
+            assert st == evaluation.stats_of(replace(em, lambda_approx=lam, rel_err_pct=err))
+        # the kernel sine falls back at some points and not at others
+        for sid in ("eq6-sinpade", "eq6a-sinpade", "eq6a-sinquintic"):
+            assert 0 < res[sid][0].sine_fallbacks < g.size, sid
+
+    @pytest.mark.parametrize("block", [evaluation._SCAN_BLOCK, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failing_spec_in_input_order_is_reported(self, workers, block, monkeypatch):
+        # every spec is checked before the block is evaluated, so grouping
+        # the specs by starter does not change which failure is reported
+        monkeypatch.setattr(evaluation, "_SCAN_BLOCK", block)
+        smooth = evaluation.GridSpec(re_min=0.5, rough_min=1e-12, n_re=5, n_rough=5)
+        low_re = evaluation.GridSpec(re_min=0.5, n_re=5, n_rough=5)
+        for grid, order, message in (
+            (smooth, ["eq2", "eq6a", "eq3a"], "eq6a: normalized starters require rel_rough"),
+            (smooth, ["eq2", "eq3a", "eq6a"], "eq3a: normalized starters require rel_rough"),
+            (low_re, ["eq6a", "eq3a", "eq3"], "eq3a: starter eq3 requires a = log10(Re) > 0"),
+            (low_re, ["eq6a", "eq3", "eq3a"], "eq3: starter eq3 requires a = log10(Re) > 0"),
+        ):
+            with pytest.raises(core.DomainError) as exc:
+                evaluation.scan_many(order, grid=grid, workers=workers)
+            assert str(exc.value).startswith(message), (order, str(exc.value))
 
     def test_scan_many_shares_one_oracle(self):
         res = evaluation.scan_many(["eq2", "eq2a1"], grid=SMALL)
