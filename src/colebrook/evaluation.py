@@ -204,63 +204,41 @@ class ErrorStats:
     p99_pct: float
 
 
-# exact_sum keys each float64 by its sign and exponent field (4096
-# buckets) and rewrites that field to 0x3FF, which rescales the value to
-# +-[1, 2) exactly; zeros and subnormals (field 0) gain a spurious
-# leading 1, which is taken off afterwards by counting that bucket. The
-# rescaled value splits into a high part (low 26 mantissa bits cleared,
-# a multiple of 2**-26 below 2 in magnitude) and the remainder (a
-# multiple of 2**-52 below 2**-26), so every running bincount sum over
-# at most 2**26 terms stays on its grid below 2**53 steps: exact, and
-# far from overflow. The buckets are then pooled as Python integers in
-# units of 2**-1074 and rounded once.
-_SUM_SLICE = 1 << 26
-_EXP_FIELD = np.uint64(0x7FF << 52)
-_UNIT_FIELD = np.uint64(0x3FF << 52)
-_LOW_BITS = np.uint64((1 << 26) - 1)
+def _sum_units(flat, top=None):
+    """Exact sum of the finite values of a flat float64 array, as an
+    integer count of 2**-1074, and whether it holds inf or nan; ``top``
+    is max|flat| (nan if any entry is nan) when the caller has it.
 
-
-def _bucket_units(bits):
-    """Exact sum of the finite values in one slice of float64 bit
-    patterns, as an integer count of 2**-1074, and whether the slice
-    holds inf or nan."""
-    bucket = (bits >> 52).view(np.int64)
-    norm = bits & ~_EXP_FIELD
-    norm |= _UNIT_FIELD
-    hi = (norm & ~_LOW_BITS).view(np.float64)
-    lo = norm.view(np.float64)
-    lo -= hi
-    hi_sums = np.bincount(bucket, weights=hi, minlength=4096)
-    lo_sums = np.bincount(bucket, weights=lo, minlength=4096)
+    Error-free extraction (Rump, Ogita and Oishi 2008, ExtractVector):
+    with sigma = 2**k at least 2**guard times every |r|, q = (r + sigma)
+    - sigma is r rounded to a multiple of 2**(k-53), exactly, and r - q
+    is exact. The n terms q add exactly in any order, as every partial
+    sum is on that grid below sigma. Each level leaves remainders below
+    2**(k-53) and the loop ends when they are zero. A sigma past the
+    float range is applied to r scaled by 2**-t; entries too small to
+    scale exactly give q = 0 and keep their unscaled remainder.
+    """
+    r = flat
+    if top is None:
+        top = np.max(np.abs(r), initial=0.0)
+    nonfinite = not math.isfinite(top)
+    if nonfinite:
+        r = r[np.isfinite(r)]
+        top = np.max(np.abs(r), initial=0.0)
+    guard = (r.size + 1).bit_length()
     units = 0
-    nonfinite = False
-    # every high part is at least 1 in magnitude, so a bucket is
-    # non-empty exactly when its high sum is nonzero
-    for k in np.flatnonzero(hi_sums).tolist():
-        field = k & 0x7FF
-        if field == 0x7FF:  # inf or nan
-            nonfinite = True
-            continue
-        # the bucket's sum in units of 2**-52 on its [1, 2) scale
-        u = (int(hi_sums[k] * 2.0**26) << 26) + int(lo_sums[k] * 2.0**52)
-        if field == 0:
-            spurious = int(np.count_nonzero(bucket == k)) << 52
-            u += -spurious if k < 2048 else spurious
-        units += u << (max(field, 1) - 1)
-    return units, nonfinite
-
-
-def _sum_units(flat):
-    """Exact sum of the finite values of a flat contiguous float64 array,
-    as an integer count of 2**-1074, and whether it holds inf or nan;
-    arrays of ``_SUM_SLICE`` elements or more are summed in slices."""
-    bits = flat.view(np.uint64)
-    units = 0
-    nonfinite = False
-    for start in range(0, bits.size, _SUM_SLICE):
-        part, part_nonfinite = _bucket_units(bits[start:start + _SUM_SLICE])
-        units += part
-        nonfinite |= part_nonfinite
+    while top:
+        k = math.frexp(top)[1] + guard
+        t = max(k - 1023, 0)
+        rs = np.ldexp(r, -t) if t else r
+        sigma = 2.0 ** (k - t)
+        q = rs + sigma
+        q -= sigma
+        num, den = float(q.sum()).as_integer_ratio()
+        units += (num << 1074 + t) // den
+        rest = rs - q
+        r = np.where(q != 0, np.ldexp(rest, t), r) if t else rest
+        top = np.abs(r).max()
     return units, nonfinite
 
 
@@ -284,7 +262,6 @@ def exact_sum(values) -> float:
     there. A finite sum that overflows raises ``OverflowError``. fsum
     also raises when a running partial sum overflows; this checks only
     the total, so a mixed-sign input whose total is finite returns it.
-    Arrays of 2**26 elements or more are summed in slices of that size.
     """
     flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
     return _round_units(*_sum_units(flat), flat)
@@ -441,11 +418,13 @@ def scan_many(scheme_ids, grid=None, workers=1):
                     core.relative_error_pct_raw(lam_ref_c, lam_a, out=err)
                     counts[k] += nfb
                     # the block's error row is still in cache; integer units
-                    # add exactly, so the blocks' sums round to the map's
-                    block_units, block_nonfinite = _sum_units(err)
+                    # add exactly, so the blocks' sums round to the map's.
+                    # Errors are not negative, so their maximum is max|err|
+                    top = err.max()
+                    block_units, block_nonfinite = _sum_units(err, top)
                     units[k] += block_units
                     nonfinite[k] |= block_nonfinite
-                    tops[k] = float(np.maximum(tops[k], err.max()))
+                    tops[k] = float(np.maximum(tops[k], top))
         return counts, units, nonfinite, tops
 
     def run(pool_map):

@@ -99,7 +99,7 @@ def _point_sine(strategy):
     return sine
 
 
-_POINT_SINES = {"exact": np.sin, "pade": _point_sine("pade"), "quintic": _point_sine("quintic")}
+_POINT_SINES = {"exact": np.sin, **{name: _point_sine(name) for name in kernels.SIN_KERNELS}}
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ def theta_raw(re, rel_rough, x):
 _STARTERS = ("eq2", "eq3", "eq4", "eq5", "eq6")
 _ACCEL_FORMS = ("direct", "transformed")
 _LOG_STRATEGIES = ("exact", "pade-one-log")
-SIN_STRATEGIES = ("exact", "pade", "quintic")
+SIN_STRATEGIES = ("exact", *kernels.SIN_KERNELS)
 
 
 @dataclass(frozen=True, slots=True)
