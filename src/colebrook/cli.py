@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", parents=[common], help="error map of a scheme over a mesh")
     p.add_argument("--scheme", required=True, choices=schemes.scheme_ids(), metavar="ID")
     add_grid_flags(p)
-    p.add_argument("--workers", type=int, default=1, help="scan partitions")
+    p.add_argument("--workers", type=int, default=1, help="scan threads")
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--heatmap", help="PGM heatmap output path")
     add_variant_flags(p)

@@ -7,20 +7,19 @@ carries everything it computes, its sine strategy and constants mode
 included, so a variant (``schemes.variant``) is scanned, counted and
 timed under its own id with no further settings.
 
-Grid scans run in cache-sized blocks, which may be partitioned across
-workers. Per block the inputs' extremes, which every scheme's input
-check reads, the oracle, the normalized inputs and each distinct prefix
-of the schemes (a starter with its sine strategy, then each
+Grid scans cut the mesh into even cache-sized blocks, one task each on
+a thread pool. Per block the inputs' extremes, which every scheme's
+input check reads, the oracle, the normalized inputs and each distinct
+prefix of the schemes (a starter with its sine strategy, then each
 acceleration step) are computed once and shared by every scheme that
-needs them. Every point's computation is independent
-and the reduction is associativity-safe, so results are identical for
-any block size and worker count. The mean error is the correctly
-rounded sum of the map divided by its size, the value ``math.fsum``
-gives. The sum is kept exactly as an integer count of 2**-1074,
-accumulated block by block while each block's errors are in cache and
-rounded once per map; each map's stats are then finished on the scan's
-workers, one task per scheme. ``stats_of`` and ``exact_sum`` compute
-the same from a whole array.
+needs them. Every point's computation is independent and the reduction
+is associativity-safe, so results are identical for any block size and
+worker count. The mean error is the correctly rounded sum of the map
+divided by its size, the value ``math.fsum`` gives. The sum is kept
+exactly as an integer count of 2**-1074, accumulated block by block
+while each block's errors are in cache and rounded once per map; each
+map's stats are then finished on the same pool, one task per scheme.
+``stats_of`` and ``exact_sum`` compute the same from a whole array.
 """
 
 import math
@@ -41,6 +40,14 @@ class ConfigError(ValueError):
 
 
 _SPACINGS = ("log", "linear")
+
+
+def _count(name, value):
+    """value as an int, or ConfigError if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,7 +80,7 @@ class GridSpec:
             raise ConfigError(
                 f"rough bounds not ordered: [{self.rough_min}, {self.rough_max}]"
             )
-        if self.n_re < 2 or self.n_rough < 2:
+        if _count("n_re", self.n_re) < 2 or _count("n_rough", self.n_rough) < 2:
             raise ConfigError("need at least 2 points per axis to include both endpoints")
         if self.re_spacing not in _SPACINGS or self.rough_spacing not in _SPACINGS:
             raise ConfigError(f"spacing must be one of {_SPACINGS}")
@@ -315,45 +322,94 @@ def stats_of(errmap: ErrorMap) -> ErrorStats:
 _SCAN_BLOCK = 65536
 
 
+def _scan_block(spec_list, re_c, rough_c, lam_ref_c, outs_c):
+    """Fill one block of ``scan_many``'s outputs in place: ``lam_ref_c``
+    with the oracle lambda at (re_c, rough_c), and ``outs_c[k]`` with
+    spec k's (lambda_approx, rel_err_pct) rows. Every spec's inputs are
+    checked on the extremes first, in input order, so the first failing
+    spec is the one reported. The specs run grouped by starter and sine
+    strategy, and a group computes each shared prefix (``schemes._recipe``)
+    once through one memo, dropped when the group ends.
+
+    Returns:
+        one (sine_fallbacks, units, nonfinite, max) tuple per spec: the
+        exact sum of the finite errors in units of 2**-1074, whether an
+        error is inf or nan, and the largest error (nan if one is nan).
+    """
+    extremes = (re_c.min(), re_c.max(), rough_c.min(), rough_c.max())
+    for spec in spec_list:
+        schemes._check_inputs(spec, *extremes)
+    x0 = core.oracle_start_raw(re_c, rough_c)
+    x_ref, iterations, residual, converged = core.solve_colebrook_raw(re_c, rough_c, x0)
+    if not converged.all():
+        j = int(np.flatnonzero(~converged)[0])
+        raise core.ConvergenceError(
+            f"oracle did not converge at (re={re_c[j]}, rel_rough={rough_c[j]})",
+            last_x=float(x_ref[j]), iterations=int(iterations[j]), residual=float(residual[j]),
+        )
+    # from eps/D = 3.71 up the root is not positive; lambda = x**-2 of it
+    # is not a friction factor
+    nonphysical = np.flatnonzero(x_ref <= 0.0)
+    if nonphysical.size:
+        j = int(nonphysical[0])
+        raise core.DomainError(
+            f"oracle root x={x_ref[j]} is not positive at "
+            f"(re={re_c[j]}, rel_rough={rough_c[j]})"
+        )
+    np.power(x_ref, -2.0, out=lam_ref_c)
+    # the eq2 starter and direct steps take no normalized inputs
+    normalized = any(s.starter != "eq2" or s.transformed for s in spec_list)
+    ab = (np.log10(re_c), -np.log10(rough_c)) if normalized else None
+    # spec indices by starter and sine strategy, each group in input order
+    groups = {}
+    for k, spec in enumerate(spec_list):
+        groups.setdefault(schemes._starter_key(spec), []).append(k)
+    record = [None] * len(spec_list)
+    for group in groups.values():
+        memo = {}
+        for k in group:
+            lam_a, err = outs_c[k]
+            x_a, nfb = schemes.evaluate_scheme_raw(spec_list[k], re_c, rough_c, ab, memo)
+            np.power(x_a, -2.0, out=lam_a)
+            core.relative_error_pct_raw(lam_ref_c, lam_a, out=err)
+            # errors are not negative, so their maximum is max|err|
+            top = err.max()
+            record[k] = (nfb, *_sum_units(err, top), float(top))
+    return record
+
+
 def scan_many(scheme_ids, grid=None, workers=1):
     """Scan several schemes (ids or specs) over one mesh, solving the
     oracle once.
 
     The outputs are allocated once: the oracle lambda and, per scheme,
     an array whose two rows are its lambda and error maps. The mesh is
-    walked once, in blocks of ``_SCAN_BLOCK`` points. Per block every
-    scheme's inputs are first checked on the block's extremes, in input
-    order, so the first failing scheme in input order is the one
-    reported; then the oracle is solved and checked, the normalized inputs
-    (log10 Re, -log10 eps/D) are computed, and every scheme fills its
-    rows of the outputs in place, so each stage's temporaries stay in
-    cache. The schemes run grouped by starter and sine strategy, and each
-    group shares one memo of prefixes (``schemes._recipe``): a starter or
-    an acceleration step that several schemes take is computed once per
-    block. The memo is dropped when its group ends, so it holds one
-    group's prefixes at a time. While a block's errors are in cache they
-    are also summed exactly, as integer units that add without rounding,
-    and their maximum is kept. Each worker, the caller itself for one run
-    or a pool thread, takes one of even contiguous ranges of points and
-    walks it in blocks; there are never more workers than blocks. After
-    the fill the same workers finish the stats, one task per scheme: the
-    NaN check, the argmax among ties, the 99th percentile and the one
-    rounding of the mean, as ``stats_of`` does. Every point is computed
-    alone, so maps, stats and sine-fallback counts are the same bit for
-    bit at any block size and worker count, and the stats equal
-    ``stats_of`` of the maps.
+    cut into the fewest even contiguous blocks of at most ``_SCAN_BLOCK``
+    points, whatever the worker count, and a pool of ``min(workers,
+    blocks)`` threads fills them, one ``_scan_block`` task per block; a
+    failure is reported from the first failing block in mesh order. The
+    blocks' exact sums, flags and maxima reduce per scheme, and the same
+    pool finishes the stats, one task per scheme, as ``stats_of`` does.
+    Every point is computed alone, so maps, stats and sine-fallback
+    counts are the same bit for bit at any block size and worker count,
+    and the stats equal ``stats_of`` of the maps.
 
     Returns:
         dict spec id -> (ErrorMap, ErrorStats); variants of one scheme
-        (``schemes.variant``) have ids of their own.
+        (``schemes.variant``) have ids of their own. No schemes give {}
+        without any work.
 
     Raises:
-        ConfigError: workers < 1, two schemes with one id, or NaN errors
-            in a map (the first such scheme in input order is named).
+        ConfigError: workers not an integer >= 1, two schemes with one
+            id, or NaN errors in a map (the first such scheme in input
+            order is named).
         DomainError: a scheme's inputs fail ``schemes._check_inputs``
             (the first such scheme in input order is named), or the
             oracle root is not positive.
+        ConvergenceError: the oracle did not converge; carries its last
+            iterate, iteration count and residual at the point.
     """
+    workers = _count("workers", workers)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     grid = DEFAULT_GRID if grid is None else grid
@@ -361,94 +417,34 @@ def scan_many(scheme_ids, grid=None, workers=1):
     repeated = [sid for sid, k in Counter(s.id for s in spec_list).items() if k > 1]
     if repeated:
         raise ConfigError(f"scheme ids must be distinct; repeated: {', '.join(repeated)}")
+    if not spec_list:
+        return {}
     re_flat, rough_flat = _flat_mesh(grid)
     lam_ref = np.empty(grid.size)
     # outs[k] holds spec k's (lambda_approx, rel_err_pct) rows; one array
     # for all schemes measured slower, as it is paged in afresh every scan
     outs = [np.empty((2, grid.size)) for _ in spec_list]
-    # the eq2 starter and direct steps take no normalized inputs
-    normalized = any(s.starter != "eq2" or s.transformed for s in spec_list)
-    # spec indices by starter and sine strategy, each group in input order;
-    # a group's schemes share their prefixes through one memo per block
-    groups = {}
-    for k, spec in enumerate(spec_list):
-        groups.setdefault(schemes._starter_key(spec), []).append(k)
+    n_blocks = -(-grid.size // _SCAN_BLOCK)
+    bounds = [grid.size * k // n_blocks for k in range(n_blocks + 1)]
 
-    def fill(lo, hi):
-        """Fill points [lo, hi) block by block. Returns, each as a list
-        over the specs: the sine-fallback counts, the exact error sums in
-        units of 2**-1074, whether an error is inf or nan, and the
-        largest errors (nan where an error is nan)."""
-        n = len(spec_list)
-        counts, units, nonfinite, tops = [0] * n, [0] * n, [False] * n, [-math.inf] * n
-        for b_lo in range(lo, hi, _SCAN_BLOCK):
-            b_hi = min(b_lo + _SCAN_BLOCK, hi)
-            re_c, rough_c = re_flat[b_lo:b_hi], rough_flat[b_lo:b_hi]
-            # every spec is checked before anything is evaluated, in input
-            # order, so the first failing spec is the one reported
-            extremes = (re_c.min(), re_c.max(), rough_c.min(), rough_c.max())
-            for spec in spec_list:
-                schemes._check_inputs(spec, *extremes)
-            x0 = core.oracle_start_raw(re_c, rough_c)
-            x_ref, _, _, converged = core.solve_colebrook_raw(re_c, rough_c, x0)
-            if not converged.all():
-                j = int(np.flatnonzero(~converged)[0])
-                raise core.ConvergenceError(
-                    f"oracle did not converge at (re={re_c[j]}, rel_rough={rough_c[j]})",
-                    last_x=float(x_ref[j]),
-                )
-            # from eps/D = 3.71 up the root is not positive; lambda =
-            # x**-2 of it is not a friction factor
-            nonphysical = np.flatnonzero(x_ref <= 0.0)
-            if nonphysical.size:
-                j = int(nonphysical[0])
-                raise core.DomainError(
-                    f"oracle root x={x_ref[j]} is not positive at "
-                    f"(re={re_c[j]}, rel_rough={rough_c[j]})"
-                )
-            lam_ref_c = np.power(x_ref, -2.0, out=lam_ref[b_lo:b_hi])
-            ab = (np.log10(re_c), -np.log10(rough_c)) if normalized else None
-            for group in groups.values():
-                # one group's prefixes at a time: the memo is dropped here
-                memo = {}
-                for k in group:
-                    lam_a, err = outs[k][:, b_lo:b_hi]
-                    x_a, nfb = schemes.evaluate_scheme_raw(spec_list[k], re_c, rough_c, ab, memo)
-                    np.power(x_a, -2.0, out=lam_a)
-                    core.relative_error_pct_raw(lam_ref_c, lam_a, out=err)
-                    counts[k] += nfb
-                    # the block's error row is still in cache; integer units
-                    # add exactly, so the blocks' sums round to the map's.
-                    # Errors are not negative, so their maximum is max|err|
-                    top = err.max()
-                    block_units, block_nonfinite = _sum_units(err, top)
-                    units[k] += block_units
-                    nonfinite[k] |= block_nonfinite
-                    tops[k] = float(np.maximum(tops[k], top))
-        return counts, units, nonfinite, tops
+    def block(lo, hi):
+        return _scan_block(spec_list, re_flat[lo:hi], rough_flat[lo:hi], lam_ref[lo:hi],
+                           [out[:, lo:hi] for out in outs])
 
-    def run(pool_map):
-        """Fill the outputs, then finish each spec's stats, with pool_map
-        running the workers' and the specs' tasks."""
-        counts, units, nonfinite, tops = zip(*pool_map(fill, bounds[:-1], bounds[1:]))
+    with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
+        per_spec = zip(*pool.map(block, bounds[:-1], bounds[1:]))
+        # each a tuple over the specs of a tuple over the blocks
+        counts, units, nonfinite, tops = zip(*(zip(*recs) for recs in per_spec))
         errmaps = [
             ErrorMap(grid, re_flat, rough_flat, lam_ref, *rows, sine_fallbacks=sum(nfb))
-            for rows, nfb in zip(outs, zip(*counts))
+            for rows, nfb in zip(outs, counts)
         ]
         # max propagates nan, which the finishing check reports
-        stats = pool_map(
-            _finish_stats, errmaps, map(sum, zip(*units)), map(any, zip(*nonfinite)),
-            np.max(tops, axis=0).tolist(),
+        stats = pool.map(
+            _finish_stats, errmaps, map(sum, units), map(any, nonfinite),
+            np.max(tops, axis=1).tolist(),
         )
         return {spec.id: (em, st) for spec, em, st in zip(spec_list, errmaps, stats)}
-
-    n_blocks = -(-grid.size // _SCAN_BLOCK)
-    parts = min(workers, n_blocks)
-    bounds = [grid.size * k // parts for k in range(parts + 1)]
-    if parts == 1:
-        return run(map)
-    with ThreadPoolExecutor(max_workers=parts) as pool:
-        return run(pool.map)
 
 
 def scan_errors(scheme_id, grid=None, workers=1):

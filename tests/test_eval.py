@@ -49,6 +49,12 @@ class TestGridSpec:
         with pytest.raises(evaluation.ConfigError):
             evaluation.GridSpec(re_spacing="cubic")
 
+    @pytest.mark.parametrize("field", ["n_re", "n_rough"])
+    def test_rejects_non_integer_counts(self, field):
+        with pytest.raises(evaluation.ConfigError, match=f"{field} must be an integer, got 30.0"):
+            evaluation.GridSpec(**{field: 30.0})
+        assert getattr(evaluation.GridSpec(**{field: np.int64(30)}), field) == 30
+
     def test_linear_spacing(self):
         g = evaluation.GridSpec(re_min=1e4, re_max=2e4, n_re=3, re_spacing="linear")
         re_axis, _ = evaluation.grid_axes(g)
@@ -181,10 +187,11 @@ class TestScan:
             lam_ref = core.solve_colebrook_exact(p).iterate.lam
             assert errmap.lambda_ref[idx] == pytest.approx(lam_ref, rel=1e-12)
 
-    # 161 points: 23 ragged blocks for up to 8 workers, 3 blocks, or one
+    # 161 points: 23 blocks of 7 shared by up to 8 workers, 3 blocks of
+    # 53-54, or one
     @pytest.mark.parametrize("block", [7, 64, 23 * 7 + 1])
     def test_worker_count_does_not_change_anything(self, block, monkeypatch):
-        # odd point count so chunks are ragged
+        # odd point count so the blocks of at most 64 differ in size
         g = evaluation.GridSpec(n_re=23, n_rough=7)
         specs = ["eq6a", schemes.variant("eq6a", "pade"), "eq2a2-pade"]
         # the default block holds the whole mesh: one pass over whole arrays
@@ -223,16 +230,15 @@ class TestScan:
             assert st == whole, sid
             assert st.mean_pct.hex() == whole.mean_pct.hex(), sid
 
-    # 161 points in 7-point blocks: at 2 workers the second worker takes
-    # points 80-160, and its last block is points 157-160
+    # 161 points in 23 blocks of 7: the last block is points 154-160
     POISON_GRID = evaluation.GridSpec(n_re=23, n_rough=7)
 
     def _poisoned_scan(self, monkeypatch, specs, bad, value=math.nan):
         """scan_many of specs at 2 workers in 7-point blocks, with the
         errors at bad[spec id] (flat mesh indices) set to value inside
-        the fill: evaluate_scheme_raw returns a nan x there, and its nan
-        error becomes value (x = 0 would give an inf lambda only with a
-        divide warning)."""
+        the block step: evaluate_scheme_raw returns a nan x there, and
+        its nan error becomes value (x = 0 would give an inf lambda only
+        with a divide warning)."""
         mesh, _ = evaluation.scan_errors("eq2", grid=self.POISON_GRID)
         evaluate, rel_err = schemes.evaluate_scheme_raw, core.relative_error_pct_raw
 
@@ -271,10 +277,10 @@ class TestScan:
                 self._poisoned_scan(monkeypatch, order, bad)
 
     def test_inf_inside_a_block_gives_the_whole_map_stats(self, monkeypatch):
-        # for eq6a one inf in each worker's range, neither in a worker's last
-        # block: the max, its tie-break and the inf flag cross blocks and
-        # workers; rough-major point 150 has the lower Re of the two. For
-        # eq2a2-pade the first worker alone sees an inf.
+        # for eq6a one inf in each of two blocks, neither the last: the
+        # max, its tie-break and the inf flag cross blocks; rough-major
+        # point 150 has the lower Re of the two. For eq2a2-pade one block
+        # alone sees an inf.
         bad = {"eq6a": (40, 150), "eq2a2-pade": (40,)}
         res = self._poisoned_scan(monkeypatch, ["eq6a", "eq2a2-pade"], bad, math.inf)
         for sid, (em, st) in res.items():
@@ -309,8 +315,8 @@ class TestScan:
         pools = []
 
         class InlinePool:
-            """Records its size and runs the tasks, the fill's and the stats'
-            finishing, in the caller: no thread starts."""
+            """Records its size and runs the tasks, the blocks' and the
+            stats' finishing, in the caller: no thread starts."""
 
             def __init__(self, max_workers):
                 pools.append(max_workers)
@@ -326,9 +332,10 @@ class TestScan:
 
         monkeypatch.setattr(evaluation, "ThreadPoolExecutor", InlinePool)
         base = evaluation.scan_errors("eq6a", grid=SMALL)
-        # SMALL's 432 points are one default block, filled by the caller
+        # SMALL's 432 points are one default block: one thread
         whole = evaluation.scan_errors("eq6a", grid=SMALL, workers=100_000)
-        assert pools == []
+        assert pools == [1, 1]
+        pools.clear()
         monkeypatch.setattr(evaluation, "_SCAN_BLOCK", 64)
         blocked = evaluation.scan_errors("eq6a", grid=SMALL, workers=100_000)
         assert pools == [7]  # ceil(432 / 64) blocks
@@ -337,16 +344,12 @@ class TestScan:
             assert em.rel_err_pct.tobytes() == base[0].rel_err_pct.tobytes()
             assert st == base[1]
 
-    @pytest.mark.parametrize("workers,ranges", [
-        (2, [(0, 216), (216, 432)]),
-        (3, [(0, 144), (144, 288), (288, 432)]),
-    ])
-    def test_workers_take_even_shares(self, workers, ranges, monkeypatch):
-        # whole 64-point blocks would give 2 workers 192 and 240 points
+    def test_blocks_are_even_and_independent_of_workers(self, monkeypatch):
+        # whole 64-point blocks would leave a last block of 48 points
         taken = []
 
         class RecordingPool:
-            """Records the fill's point ranges and runs the tasks, the
+            """Records the blocks' point ranges and runs the tasks, the
             stats' finishing too, in the caller."""
 
             def __init__(self, max_workers):
@@ -360,13 +363,15 @@ class TestScan:
 
             def map(self, fn, *iterables):
                 if fn is not evaluation._finish_stats:
-                    taken.extend(zip(*iterables))
+                    taken.append(list(zip(*iterables)))
                 return map(fn, *iterables)
 
         monkeypatch.setattr(evaluation, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(evaluation, "_SCAN_BLOCK", 64)
-        evaluation.scan_errors("eq2", grid=SMALL, workers=workers)
-        assert taken == ranges
+        for workers in (1, 2, 3):
+            evaluation.scan_errors("eq2", grid=SMALL, workers=workers)
+        bounds = [0, 61, 123, 185, 246, 308, 370, 432]
+        assert taken == [list(zip(bounds[:-1], bounds[1:]))] * 3
 
     # shared prefixes beside specs that must not share: another step form,
     # constants mode, log strategy or sine strategy
@@ -456,13 +461,14 @@ class TestScan:
         em21, _ = res["eq2a1"]
         assert np.array_equal(em2.lambda_ref, em21.lambda_ref)
 
-    @pytest.mark.parametrize("block", [evaluation._SCAN_BLOCK, 3])
+    @pytest.mark.parametrize("block", [evaluation._SCAN_BLOCK, 2])
     @pytest.mark.parametrize("workers", [1, 3])
     def test_negative_oracle_root_is_a_domain_error(self, workers, block, monkeypatch):
         # once eps/D/3.71 exceeds 1 the oracle converges to a negative x
         g = evaluation.GridSpec(n_re=5, n_rough=5, rough_max=10)
-        # at one worker 3-point blocks put the first bad point, index 20, last
-        # in a block; at three the last worker takes points 16-24
+        # 2-point blocks cut 25 points into 13 even blocks: the first bad
+        # point, index 20, is last in its block [19, 21), and the later
+        # blocks fail too, so the first failing block must be reported
         monkeypatch.setattr(evaluation, "_SCAN_BLOCK", block)
         with pytest.raises(core.DomainError, match=r"not positive at \(re=4000.0, rel_rough=10.0\)"):
             evaluation.scan_errors("eq2a2", grid=g, workers=workers)
@@ -487,6 +493,33 @@ class TestScan:
         other = replace(schemes.get_scheme("eq2a1"), id="eq2")
         with pytest.raises(evaluation.ConfigError, match="repeated: eq2$"):
             evaluation.scan_many(["eq2", other], grid=SMALL)
+
+    def test_no_schemes_return_before_any_work(self, monkeypatch):
+        def no_oracle(*args):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(core, "solve_colebrook_raw", no_oracle)
+        assert evaluation.scan_many([], grid=SMALL) == {}
+        assert evaluation.scan_many([], grid=SMALL, workers=4) == {}
+
+    @pytest.mark.parametrize("workers", [2.0, "2", None])
+    def test_non_integer_workers_rejected(self, workers):
+        with pytest.raises(evaluation.ConfigError, match="workers must be an integer"):
+            evaluation.scan_many(["eq2"], grid=SMALL, workers=workers)
+
+    def test_oracle_failure_carries_the_solver_fields(self):
+        # far below the domain the Newton step leaves the log's domain,
+        # and the nan iterate counts to the iteration cap
+        g = evaluation.GridSpec(re_min=0.001, re_max=0.01, n_re=2, n_rough=2)
+        with pytest.raises(core.ConvergenceError) as scan:
+            evaluation.scan_errors("eq2", grid=g)
+        point = core.FlowPoint(0.001, 1e-6, out_of_domain_ok=True)
+        with pytest.raises(core.ConvergenceError) as scalar:
+            core.solve_colebrook_exact(point)
+        assert str(scan.value).endswith("at (re=0.001, rel_rough=1e-06)")
+        fields = [(e.last_x, e.iterations, e.residual) for e in (scan.value, scalar.value)]
+        assert fields[0][1] == core.DEFAULT_MAX_ITER
+        np.testing.assert_equal(fields[0], fields[1])
 
     def test_scan_rejects_unknown_scheme(self):
         with pytest.raises(schemes.RegistryError):
