@@ -201,12 +201,9 @@ def _cmd_table1(args, settings):
     if args.csv:
         path = _out_path(settings, args.csv)
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write("scheme,n_log,measured_max_pct,published_max_pct\n")
-            for r in rows:
-                f.write(
-                    f"{r['scheme']},{r['n_log']},"
-                    f"{r['measured_max_pct']!r},{r['published_max_pct']!r}\n"
-                )
+            # str of a float is its repr
+            for line in [rows[0].keys(), *(r.values() for r in rows)]:
+                f.write(",".join(map(str, line)) + "\n")
     if args.json:
         print(json.dumps({"rows": rows}))
         return EXIT_OK

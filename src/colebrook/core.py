@@ -129,7 +129,6 @@ class SolveReport:
     iterate: FrictionIterate
     iterations: int
     residual: float
-    converged: bool
 
 
 def starter_eq2_raw(re, rel_rough):
@@ -171,14 +170,15 @@ def _newton_step(a, c, x):
     return x - (x + 2.0 * np.log10(u)) / (1.0 + _K * a / u)
 
 
-def solve_colebrook_raw(re, rel_rough, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def solve_colebrook_raw(re, rel_rough, x0):
     """Vectorized Newton solve of the implicit equation.
 
     Each point carries its own active mask, so a point's iteration
     trajectory is identical no matter how the arrays are chunked across
-    workers. Stops a point once its Newton step is within tol; the
-    residual is that last step, |x_k - x_(k-1)|. From ``oracle_start_raw``
-    the points of the default and 1000x1000 meshes take at most 4 steps.
+    workers. Stops a point once its Newton step is within
+    ``DEFAULT_TOL``, or after ``DEFAULT_MAX_ITER`` steps; the residual is
+    that last step, |x_k - x_(k-1)|. From ``oracle_start_raw`` the points
+    of the default and 1000x1000 meshes take at most 4 steps.
 
     Returns:
         (x, iterations, residual, converged) arrays broadcast over inputs.
@@ -197,7 +197,7 @@ def solve_colebrook_raw(re, rel_rough, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX
     # a step whose log argument is not positive yields nan (far outside the
     # domain); nan stays active so the point is reported as non-converged
     with np.errstate(invalid="ignore", divide="ignore"):
-        for _ in range(max_iter):
+        for _ in range(DEFAULT_MAX_ITER):
             if not active.any():
                 break
             x_next = _newton_step(a, c, x)
@@ -205,13 +205,11 @@ def solve_colebrook_raw(re, rel_rough, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX
             np.copyto(x, x_next, where=active)
             np.copyto(residual, diff, where=active)
             iterations += active
-            active &= ~(diff <= tol)
+            active &= ~(diff <= DEFAULT_TOL)
     return x, iterations, residual, ~active
 
 
-def solve_colebrook_exact(
-    point: FlowPoint, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> SolveReport:
+def solve_colebrook_exact(point: FlowPoint) -> SolveReport:
     """Solve the implicit equation to machine precision by Newton's method.
 
     The converged iterate is lambda_accurate for every error computation.
@@ -227,24 +225,15 @@ def solve_colebrook_exact(
     vector step computes nan there. So x, iterations and residual equal
     the vector solve's bit for bit.
 
-    Args:
-        point: flow conditions.
-        tol: tolerance on the Newton step in x (default 1e-12).
-        max_iter: iteration cap (default 100; in-domain points take a
-            handful of steps, at most 4 on the default mesh).
-
     Raises:
-        DomainError: tol or max_iter invalid.
-        ConvergenceError: tolerance not reached within max_iter; carries
-            the last iterate. Cannot occur in-domain, where the iterates
-            rise monotonically to the root after the first step; far
-            outside it a step can leave the log's domain, and the nan
-            iterate then counts to max_iter.
+        ConvergenceError: the step is not within ``DEFAULT_TOL`` after
+            ``DEFAULT_MAX_ITER`` steps; carries the last iterate. Cannot
+            occur in-domain, where the iterates rise monotonically to the
+            root after the first step, at most 4 steps on the default
+            mesh; far outside it a step can leave the log's domain, and
+            the nan iterate then counts to the cap.
     """
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    tol = DEFAULT_TOL
     re, rel_rough = float(point.re), float(point.rel_rough)
     a, c = 2.51 / re, rel_rough / 3.71
     x = float(starter_eq2_raw(re, rel_rough)) if point.in_domain else 8.0
@@ -252,7 +241,7 @@ def solve_colebrook_exact(
     res = math.inf
     # a nan difference fails `res <= tol` and keeps iterating, as nan stays
     # active in the vector mask
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         x_next = float(_newton_step(a, c, x)) if a * x + c > 0.0 else math.nan
         res = abs(x_next - x)
         iters += 1
@@ -271,7 +260,6 @@ def solve_colebrook_exact(
         iterate=FrictionIterate(x, step=iters),
         iterations=iters,
         residual=res,
-        converged=True,
     )
 
 

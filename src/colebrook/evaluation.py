@@ -155,7 +155,7 @@ def sobol_2d(n: int, bounds=None, mapping: str = "uniform"):
     Returns:
         (n, 2) array; mapped columns are (re, rel_rough).
     """
-    n = operator.index(n)
+    n = _count("n", n)
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     if mapping not in ("uniform", "log"):
@@ -328,8 +328,11 @@ def _scan_block(spec_list, re_c, rough_c, lam_ref_c, outs_c):
     spec k's (lambda_approx, rel_err_pct) rows. Every spec's inputs are
     checked on the extremes first, in input order, so the first failing
     spec is the one reported. The specs run grouped by starter and sine
-    strategy, and a group computes each shared prefix (``schemes._recipe``)
-    once through one memo, dropped when the group ends.
+    strategy through ``schemes._recipe``, with the block's normalized
+    inputs, and a group computes each shared prefix once through one
+    memo, dropped when the group ends. A group has one sine, called only
+    by its starter, which runs once; so the sine's fallback count after
+    each member's recipe is that member's count.
 
     Returns:
         one (sine_fallbacks, units, nonfinite, max) tuple per spec: the
@@ -365,16 +368,17 @@ def _scan_block(spec_list, re_c, rough_c, lam_ref_c, outs_c):
     for k, spec in enumerate(spec_list):
         groups.setdefault(schemes._starter_key(spec), []).append(k)
     record = [None] * len(spec_list)
-    for group in groups.values():
+    for (_, sin_strategy), group in groups.items():
+        sine, count = schemes._make_sine(sin_strategy)
         memo = {}
         for k in group:
             lam_a, err = outs_c[k]
-            x_a, nfb = schemes.evaluate_scheme_raw(spec_list[k], re_c, rough_c, ab, memo)
+            x_a = schemes._recipe(spec_list[k], re_c, rough_c, sine, ab, memo)
             np.power(x_a, -2.0, out=lam_a)
             core.relative_error_pct_raw(lam_ref_c, lam_a, out=err)
             # errors are not negative, so their maximum is max|err|
             top = err.max()
-            record[k] = (nfb, *_sum_units(err, top), float(top))
+            record[k] = (count(), *_sum_units(err, top), float(top))
     return record
 
 
@@ -688,7 +692,7 @@ def benchmark(scheme_ids, batch=None, reps=9):
     Returns:
         list of CostProfile with timing filled, one per requested scheme.
     """
-    if reps < 3:
+    if _count("reps", reps) < 3:
         raise ConfigError(f"reps must be >= 3, got {reps}")
     if batch is None:
         batch = sobol_2d(4096, bounds=DEFAULT_GRID)

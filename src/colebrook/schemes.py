@@ -16,14 +16,15 @@ Python floats and on numpy arrays. ``evaluate_scheme`` (one point) and
 and then the recipe, so the two agree bit for bit.
 
 Schemes of one starter form prefix chains: ``eqNa`` is one step on
-``eqN``, ``eq2a2`` one step on ``eq2a1``. Over one block of arrays a
-caller (``evaluation.scan_many``) can give the recipe a memo, through
-which those schemes compute each shared starter and step once; the
-results are the same bit for bit. Floats, counting arrays and single
-array calls take no memo and run every step.
+``eqN``, ``eq2a2`` one step on ``eq2a1``. Over one block of arrays the
+scan (``evaluation._scan_block``) runs the recipe itself, with one sine
+and one memo per starter group, through which those schemes compute
+each shared starter and step once; the results are the same bit for
+bit. The public evaluators take no memo and run every step.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 
@@ -171,8 +172,14 @@ class SchemeSpec:
 
     def __post_init__(self):
         _check_choice("starter", self.starter, _STARTERS)
-        if self.accel_steps < 0:
-            raise SchemeError(f"accel_steps must be >= 0, got {self.accel_steps}")
+        try:
+            steps = operator.index(self.accel_steps)
+        except TypeError:
+            raise SchemeError(
+                f"accel_steps must be an integer, got {self.accel_steps!r}"
+            ) from None
+        if steps < 0:
+            raise SchemeError(f"accel_steps must be >= 0, got {steps}")
         _check_choice("accel_form", self.accel_form, _ACCEL_FORMS)
         _check_choice("log_strategy", self.log_strategy, _LOG_STRATEGIES)
         _check_choice("sin_strategy", self.sin_strategy, SIN_STRATEGIES)
@@ -327,8 +334,9 @@ def _recipe(spec, re, rel_rough, sine, ab=None, memo=None):
     schemes of one starter share: the starter under ``_starter_key``,
     then the result of each acceleration step. A prefix found there is
     taken as it is, and one computed here is stored, so a scheme that
-    extends another's prefix computes only its own steps. Without a memo,
-    as on floats and counting arrays, every step is computed.
+    extends another's prefix computes only its own steps; the starter,
+    the only code that calls the sine, runs once per memo. Without a
+    memo, as in the public evaluators, every step is computed.
     """
     a, b = (None, None) if ab is None else ab
     x = None if memo is None else memo.get(_starter_key(spec))
@@ -391,20 +399,9 @@ def evaluate_scheme(spec, point: FlowPoint) -> FrictionIterate:
     return FrictionIterate(float(x), step=spec.accel_steps)
 
 
-def evaluate_scheme_raw(spec, re, rel_rough, ab=None, memo=None):
-    """Vectorized scheme evaluation over arrays of (Re, eps/D).
-
-    ``ab`` may carry the normalized inputs (log10 Re, -log10 eps/D) of
-    the same arrays, so that several schemes over one mesh share them;
-    the result is the same bit for bit.
-
-    ``memo`` is a dict kept over one block of arrays by a caller that
-    has already run ``_check_inputs`` on the block for this scheme, so
-    the check is not repeated. The scheme's starter and acceleration
-    prefixes are shared through it with the other schemes of its
-    starter (see ``_recipe``), and the starter's sine-fallback count is
-    stored beside it, so a scheme that reuses the starter reports that
-    count. The result is the same bit for bit.
+def evaluate_scheme_raw(spec, re, rel_rough):
+    """Vectorized scheme evaluation over arrays of (Re, eps/D): the check
+    and the recipe of ``evaluate_scheme``, run once on whole arrays.
 
     Returns:
         (x, sine_fallbacks): final x array and the count of sine-kernel
@@ -412,22 +409,12 @@ def evaluate_scheme_raw(spec, re, rel_rough, ab=None, memo=None):
         exact sine instead.
 
     Raises:
-        DomainError: the extremes of Re or eps/D fail ``_check_inputs``;
-            not checked with a memo.
+        DomainError: the extremes of Re or eps/D fail ``_check_inputs``.
     """
     spec = get_scheme(spec)
     re = np.asarray(re, dtype=float)
     rel_rough = np.asarray(rel_rough, dtype=float)
+    if re.size and rel_rough.size:
+        _check_inputs(spec, re.min(), re.max(), rel_rough.min(), rel_rough.max())
     sine, count = _make_sine(spec.sin_strategy)
-    if memo is None:
-        if re.size and rel_rough.size:
-            _check_inputs(spec, re.min(), re.max(), rel_rough.min(), rel_rough.max())
-        return _recipe(spec, re, rel_rough, sine, ab), count()
-    # a starter taken from the memo calls no sine, so its count is kept
-    # beside it by the call that computed it
-    count_key = _starter_key(spec) + ("sine_fallbacks",)
-    fallbacks = memo.get(count_key)
-    x = _recipe(spec, re, rel_rough, sine, ab, memo)
-    if fallbacks is None:
-        fallbacks = memo[count_key] = count()
-    return x, fallbacks
+    return _recipe(spec, re, rel_rough, sine), count()

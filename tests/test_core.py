@@ -142,7 +142,6 @@ class TestStarterEq2:
 class TestSolver:
     def test_reference_point(self):
         rep = core.solve_colebrook_exact(core.FlowPoint(1e5, 1e-4))
-        assert rep.converged
         assert rep.iterate.x == pytest.approx(X_STAR_1E5, abs=1e-10)
         assert rep.iterate.lam == pytest.approx(LAM_STAR_1E5, rel=1e-10)
         assert rep.residual <= 1e-12
@@ -189,19 +188,15 @@ class TestSolver:
             assert its[i] == rep.iterations
 
     @staticmethod
-    def _scalar_and_vector(re, rough, **kw):
+    def _scalar_and_vector(re, rough):
         """(x, iterations, residual, converged) of both oracles at one point;
         a ConvergenceError supplies the scalar side's fields."""
         try:
-            rep = core.solve_colebrook_exact(
-                core.FlowPoint(re, rough, out_of_domain_ok=True), **kw
-            )
+            rep = core.solve_colebrook_exact(core.FlowPoint(re, rough, out_of_domain_ok=True))
             scalar = (rep.iterate.x, rep.iterations, rep.residual, True)
         except core.ConvergenceError as exc:
             scalar = (exc.last_x, exc.iterations, exc.residual, False)
-        x, its, res, conv = core.solve_colebrook_raw(
-            re, rough, core.oracle_start_raw(re, rough), **kw
-        )
+        x, its, res, conv = core.solve_colebrook_raw(re, rough, core.oracle_start_raw(re, rough))
         return scalar, (float(x), int(its), float(res), bool(conv))
 
     def test_scalar_oracle_is_bit_identical_to_vector(self):
@@ -223,13 +218,18 @@ class TestSolver:
         assert scalar[3] is vector[3] is False
 
     @pytest.mark.parametrize("tol,max_iter", [(1e-8, 100), (1e-12, 3), (1e-8, 3)])
-    def test_scalar_loop_control_matches_vector(self, tol, max_iter):
-        scalar, vector = self._scalar_and_vector(3e5, 2e-3, tol=tol, max_iter=max_iter)
+    def test_scalar_loop_control_matches_vector(self, tol, max_iter, monkeypatch):
+        # both solvers read the settings when called
+        monkeypatch.setattr(core, "DEFAULT_TOL", tol)
+        monkeypatch.setattr(core, "DEFAULT_MAX_ITER", max_iter)
+        scalar, vector = self._scalar_and_vector(3e5, 2e-3)
         assert scalar == vector
 
-    def test_scalar_stops_when_difference_equals_tol(self):
-        _, (_, _, res, _) = self._scalar_and_vector(3e5, 2e-3, tol=1e-8)
-        scalar, vector = self._scalar_and_vector(3e5, 2e-3, tol=res)
+    def test_scalar_stops_when_difference_equals_tol(self, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_TOL", 1e-8)
+        _, (_, _, res, _) = self._scalar_and_vector(3e5, 2e-3)
+        monkeypatch.setattr(core, "DEFAULT_TOL", res)
+        scalar, vector = self._scalar_and_vector(3e5, 2e-3)
         assert vector[2] == res and vector[3]
         assert scalar == vector
 

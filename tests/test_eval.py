@@ -99,6 +99,10 @@ class TestSobol:
         with pytest.raises(evaluation.ConfigError):
             evaluation.sobol_2d(0)
 
+    def test_rejects_non_integer_n(self):
+        with pytest.raises(evaluation.ConfigError, match="n must be an integer, got 4.0"):
+            evaluation.sobol_2d(4.0)
+
     @pytest.mark.parametrize("bounds", [None, (4000.0, 1e8, 1e-6, 0.05)])
     def test_rejects_unknown_mapping(self, bounds):
         with pytest.raises(evaluation.ConfigError, match="'bogus'"):
@@ -236,24 +240,24 @@ class TestScan:
     def _poisoned_scan(self, monkeypatch, specs, bad, value=math.nan):
         """scan_many of specs at 2 workers in 7-point blocks, with the
         errors at bad[spec id] (flat mesh indices) set to value inside
-        the block step: evaluate_scheme_raw returns a nan x there, and
-        its nan error becomes value (x = 0 would give an inf lambda only
-        with a divide warning)."""
+        the block step: the recipe returns a nan x there, and its nan
+        error becomes value (x = 0 would give an inf lambda only with a
+        divide warning)."""
         mesh, _ = evaluation.scan_errors("eq2", grid=self.POISON_GRID)
-        evaluate, rel_err = schemes.evaluate_scheme_raw, core.relative_error_pct_raw
+        recipe, rel_err = schemes._recipe, core.relative_error_pct_raw
 
-        def evaluate_poisoned(spec, re, rel_rough, ab=None, memo=None):
-            x, nfb = evaluate(spec, re, rel_rough, ab, memo)
+        def recipe_poisoned(spec, re, rel_rough, sine, ab=None, memo=None):
+            x = recipe(spec, re, rel_rough, sine, ab, memo)
             for j in bad.get(spec.id, ()):
                 x = np.where((re == mesh.re[j]) & (rel_rough == mesh.rel_rough[j]), math.nan, x)
-            return x, nfb
+            return x
 
         def rel_err_poisoned(lambda_accurate, lambda_approx, out=None):
             out = rel_err(lambda_accurate, lambda_approx, out=out)
             out[np.isnan(out)] = value
             return out
 
-        monkeypatch.setattr(schemes, "evaluate_scheme_raw", evaluate_poisoned)
+        monkeypatch.setattr(schemes, "_recipe", recipe_poisoned)
         monkeypatch.setattr(core, "relative_error_pct_raw", rel_err_poisoned)
         monkeypatch.setattr(evaluation, "_SCAN_BLOCK", 7)
         return evaluation.scan_many(specs, grid=self.POISON_GRID, workers=2)
@@ -794,6 +798,10 @@ class TestBenchmark:
     def test_rejects_too_few_reps(self):
         with pytest.raises(evaluation.ConfigError):
             evaluation.benchmark(["eq2"], reps=2)
+
+    def test_rejects_non_integer_reps(self):
+        with pytest.raises(evaluation.ConfigError, match="reps must be an integer, got 5.0"):
+            evaluation.benchmark(["eq2"], reps=5.0)
 
     def test_rejects_bad_batch(self):
         with pytest.raises(evaluation.ConfigError):

@@ -42,6 +42,12 @@ def _sweep_variants():
 SWEEP_VARIANTS = _sweep_variants()
 
 
+@pytest.fixture(scope="module")
+def sweep_scan():
+    """One scan of every sweep variant on a 60x50 mesh."""
+    return evaluation.scan_many(SWEEP_VARIANTS, grid=evaluation.GridSpec(n_re=60, n_rough=50))
+
+
 class TestStarters:
     def test_eq3_pin(self):
         assert schemes.starter_eq3_raw(8.0, 1.30103) == pytest.approx(EQ3_PIN, rel=1e-14)
@@ -194,6 +200,11 @@ class TestRegistry:
             schemes.SchemeSpec(id="x", starter="eq6", accel_steps=2,
                                accel_form="transformed", log_strategy="pade-one-log")
 
+    @pytest.mark.parametrize("steps", [1.0, "1", None])
+    def test_non_integer_accel_steps_rejected(self, steps):
+        with pytest.raises(schemes.SchemeError, match="accel_steps must be an integer"):
+            schemes.SchemeSpec("x", "eq2", steps)
+
     def test_constants_mode_checked(self):
         with pytest.raises(schemes.SchemeError, match="constants mode"):
             schemes.SchemeSpec(id="x", starter="eq2", accel_steps=1,
@@ -296,14 +307,17 @@ class TestEvaluateScheme:
             assert it.step == spec.accel_steps
 
     @pytest.mark.parametrize("spec", SWEEP_VARIANTS, ids=lambda spec: spec.id)
-    def test_shared_normalized_inputs_change_nothing(self, spec):
-        # scan_many passes one block's (a, b) to every scheme
-        re, rough = evaluation._flat_mesh(evaluation.GridSpec(n_re=60, n_rough=50))
-        ab = (np.log10(re), -np.log10(rough))
-        x, fallbacks = schemes.evaluate_scheme_raw(spec, re, rough)
-        x_ab, fallbacks_ab = schemes.evaluate_scheme_raw(spec, re, rough, ab)
-        assert x_ab.tobytes() == x.tobytes()
-        assert fallbacks_ab == fallbacks
+    def test_scan_equals_evaluation_alone(self, spec, sweep_scan):
+        # the scan shares one block's (a, b), and each starter group's
+        # prefixes and sine, among the schemes; evaluate_scheme_raw
+        # computes them for one scheme
+        em, _ = sweep_scan[spec.id]
+        x, fallbacks = schemes.evaluate_scheme_raw(spec, em.re, em.rel_rough)
+        lam = np.power(x, -2.0)
+        err = core.relative_error_pct_raw(em.lambda_ref, lam)
+        assert em.lambda_approx.tobytes() == lam.tobytes()
+        assert em.rel_err_pct.tobytes() == err.tobytes()
+        assert em.sine_fallbacks == fallbacks
 
 
 class TestVariant:
