@@ -232,6 +232,8 @@ def solve_colebrook_exact(point: FlowPoint) -> SolveReport:
             root after the first step, at most 4 steps on the default
             mesh; far outside it a step can leave the log's domain, and
             the nan iterate then counts to the cap.
+        DomainError: the root is not positive, as from eps/D = 3.71 up;
+            the message is the scan's at the same point.
     """
     tol = DEFAULT_TOL
     re, rel_rough = float(point.re), float(point.rel_rough)
@@ -256,6 +258,8 @@ def solve_colebrook_exact(point: FlowPoint) -> SolveReport:
             iterations=iters,
             residual=res,
         )
+    if not x > 0.0:
+        raise DomainError(f"oracle root x={x} is not positive at (re={re}, rel_rough={rel_rough})")
     return SolveReport(
         iterate=FrictionIterate(x, step=iters),
         iterations=iters,

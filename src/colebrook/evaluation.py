@@ -8,18 +8,16 @@ included, so a variant (``schemes.variant``) is scanned, counted and
 timed under its own id with no further settings.
 
 Grid scans cut the mesh into even cache-sized blocks, one task each on
-a thread pool. Per block the inputs' extremes, which every scheme's
-input check reads, the oracle, the normalized inputs and each distinct
-prefix of the schemes (a starter with its sine strategy, then each
-acceleration step) are computed once and shared by every scheme that
-needs them. Every point's computation is independent and the reduction
-is associativity-safe, so results are identical for any block size and
-worker count. The mean error is the correctly rounded sum of the map
-divided by its size, the value ``math.fsum`` gives. The sum is kept
-exactly as an integer count of 2**-1074, accumulated block by block
-while each block's errors are in cache and rounded once per map; each
-map's stats are then finished on the same pool, one task per scheme.
-``stats_of`` and ``exact_sum`` compute the same from a whole array.
+a thread pool. Per block the oracle is solved once and the schemes run
+together through ``schemes._evaluate_block``. Every point's computation
+is independent and the reduction is associativity-safe, so results are
+identical for any block size and worker count. The mean error is the
+correctly rounded sum of the map divided by its size, the value
+``math.fsum`` gives. The sum is kept exactly as an integer count of
+2**-1074, accumulated block by block while each block's errors are in
+cache and rounded once per map; each map's stats are then finished on
+the same pool, one task per scheme. ``stats_of`` and ``exact_sum``
+compute the same from a whole array.
 """
 
 import math
@@ -32,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import core, kernels, schemes
+from . import core, schemes
 
 
 class ConfigError(ValueError):
@@ -154,6 +152,11 @@ def sobol_2d(n: int, bounds=None, mapping: str = "uniform"):
 
     Returns:
         (n, 2) array; mapped columns are (re, rel_rough).
+
+    Raises:
+        ConfigError: n not an integer >= 1, an unknown mapping, or
+            bounds that are not four finite numbers with min < max per
+            axis and, under "log", min > 0.
     """
     n = _count("n", n)
     if n < 1:
@@ -173,7 +176,18 @@ def sobol_2d(n: int, bounds=None, mapping: str = "uniform"):
         return np.column_stack([u, v])
     if isinstance(bounds, GridSpec):
         bounds = (bounds.re_min, bounds.re_max, bounds.rough_min, bounds.rough_max)
-    lo_re, hi_re, lo_r, hi_r = bounds
+    # a zero roughness floor maps uniformly but has no logarithm
+    floor = 0.0 if mapping == "log" else -math.inf
+    try:
+        lo_re, hi_re, lo_r, hi_r = bounds
+        ok = floor < lo_re < hi_re < math.inf and floor < lo_r < hi_r < math.inf
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(
+            "bounds must be finite (re_min, re_max, rough_min, rough_max) with min < max"
+            f"{' and min > 0 under the log mapping' if mapping == 'log' else ''}, got {bounds!r}"
+        )
     if mapping == "uniform":
         re = lo_re + u * (hi_re - lo_re)
         rough = lo_r + v * (hi_r - lo_r)
@@ -325,23 +339,16 @@ _SCAN_BLOCK = 65536
 def _scan_block(spec_list, re_c, rough_c, lam_ref_c, outs_c):
     """Fill one block of ``scan_many``'s outputs in place: ``lam_ref_c``
     with the oracle lambda at (re_c, rough_c), and ``outs_c[k]`` with
-    spec k's (lambda_approx, rel_err_pct) rows. Every spec's inputs are
-    checked on the extremes first, in input order, so the first failing
-    spec is the one reported. The specs run grouped by starter and sine
-    strategy through ``schemes._recipe``, with the block's normalized
-    inputs, and a group computes each shared prefix once through one
-    memo, dropped when the group ends. A group has one sine, called only
-    by its starter, which runs once; so the sine's fallback count after
-    each member's recipe is that member's count.
+    spec k's (lambda_approx, rel_err_pct) rows from
+    ``schemes._evaluate_block``, which checks every spec before the
+    oracle runs.
 
     Returns:
         one (sine_fallbacks, units, nonfinite, max) tuple per spec: the
         exact sum of the finite errors in units of 2**-1074, whether an
         error is inf or nan, and the largest error (nan if one is nan).
     """
-    extremes = (re_c.min(), re_c.max(), rough_c.min(), rough_c.max())
-    for spec in spec_list:
-        schemes._check_inputs(spec, *extremes)
+    results = schemes._evaluate_block(spec_list, re_c, rough_c)
     x0 = core.oracle_start_raw(re_c, rough_c)
     x_ref, iterations, residual, converged = core.solve_colebrook_raw(re_c, rough_c, x0)
     if not converged.all():
@@ -360,25 +367,14 @@ def _scan_block(spec_list, re_c, rough_c, lam_ref_c, outs_c):
             f"(re={re_c[j]}, rel_rough={rough_c[j]})"
         )
     np.power(x_ref, -2.0, out=lam_ref_c)
-    # the eq2 starter and direct steps take no normalized inputs
-    normalized = any(s.starter != "eq2" or s.transformed for s in spec_list)
-    ab = (np.log10(re_c), -np.log10(rough_c)) if normalized else None
-    # spec indices by starter and sine strategy, each group in input order
-    groups = {}
-    for k, spec in enumerate(spec_list):
-        groups.setdefault(schemes._starter_key(spec), []).append(k)
     record = [None] * len(spec_list)
-    for (_, sin_strategy), group in groups.items():
-        sine, count = schemes._make_sine(sin_strategy)
-        memo = {}
-        for k in group:
-            lam_a, err = outs_c[k]
-            x_a = schemes._recipe(spec_list[k], re_c, rough_c, sine, ab, memo)
-            np.power(x_a, -2.0, out=lam_a)
-            core.relative_error_pct_raw(lam_ref_c, lam_a, out=err)
-            # errors are not negative, so their maximum is max|err|
-            top = err.max()
-            record[k] = (count(), *_sum_units(err, top), float(top))
+    for k, x_a, sine_fallbacks in results:
+        lam_a, err = outs_c[k]
+        np.power(x_a, -2.0, out=lam_a)
+        core.relative_error_pct_raw(lam_ref_c, lam_a, out=err)
+        # errors are not negative, so their maximum is max|err|
+        top = err.max()
+        record[k] = (sine_fallbacks, *_sum_units(err, top), float(top))
     return record
 
 
@@ -407,9 +403,9 @@ def scan_many(scheme_ids, grid=None, workers=1):
         ConfigError: workers not an integer >= 1, two schemes with one
             id, or NaN errors in a map (the first such scheme in input
             order is named).
-        DomainError: a scheme's inputs fail ``schemes._check_inputs``
-            (the first such scheme in input order is named), or the
-            oracle root is not positive.
+        DomainError: a scheme's inputs fail its input check (the first
+            such scheme in input order is named), or the oracle root is
+            not positive.
         ConvergenceError: the oracle did not converge; carries its last
             iterate, iteration count and residual at the point.
     """
@@ -677,8 +673,7 @@ def cost_profile(scheme_id) -> CostProfile:
     ops = Counter()
     re, rel_rough = (np.array([v]).view(_CountingArray) for v in (1e5, 1e-4))
     re.ops = rel_rough.ops = ops
-    sine = np.sin if spec.sin_strategy == "exact" else kernels.SIN_KERNELS[spec.sin_strategy]
-    schemes._recipe(spec, re, rel_rough, sine)
+    next(schemes._evaluate_block([spec], re, rel_rough))
     return CostProfile(spec.id, ops[np.log10] + ops[np.log], ops[np.sin], ops[np.divide])
 
 

@@ -26,15 +26,15 @@ def pade_ln(z):
     reproducibility.
 
     Raises:
-        DomainError: z <= 0 anywhere in the input.
+        DomainError: z <= 0 or NaN anywhere in the input.
     """
     if isinstance(z, (int, float)):
         z = float(z)
-        if z <= 0.0:
+        if not z > 0.0:
             raise DomainError(f"pade_ln requires z > 0, got {z}")
     else:
         z = np.asanyarray(z, dtype=float)
-        if np.any(z <= 0.0):
+        if not np.all(z > 0.0):
             raise DomainError("pade_ln requires z > 0")
     num = z * (z * (11.0 * z + 27.0) - 27.0) - 11.0
     den = z * (z * (3.0 * z + 27.0) + 27.0) + 3.0

@@ -11,16 +11,19 @@ A ``SchemeSpec`` decides all a scheme computes, its sine strategy and
 constants mode included; ``variant`` sets those two under an id of its
 own (``eq6a-sinpade``, ``eq2a1-t-exact``). Each scheme has one
 implementation, ``_recipe``: plain arithmetic that runs unchanged on
-Python floats and on numpy arrays. ``evaluate_scheme`` (one point) and
-``evaluate_scheme_raw`` (arrays) run one input check, ``_check_inputs``,
-and then the recipe, so the two agree bit for bit.
+Python floats and on numpy arrays, after one input check,
+``_check_inputs``. One point (``evaluate_scheme``) and arrays
+(``evaluate_scheme_raw``, the scan's blocks) agree bit for bit.
 
-Schemes of one starter form prefix chains: ``eqNa`` is one step on
-``eqN``, ``eq2a2`` one step on ``eq2a1``. Over one block of arrays the
-scan (``evaluation._scan_block``) runs the recipe itself, with one sine
-and one memo per starter group, through which those schemes compute
-each shared starter and step once; the results are the same bit for
-bit. The public evaluators take no memo and run every step.
+Arrays go through ``_evaluate_block``, which checks every spec on the
+extremes in input order before it computes anything, then runs the
+specs grouped by starter and sine strategy. Schemes of one starter form
+prefix chains (``eqNa`` is one step on ``eqN``, ``eq2a2`` on ``eq2a1``):
+a group computes each shared starter and step once through one memo,
+and has one sine, called only by its starter, so the sine's fallback
+count after each member is that member's. (a, b) = (log10 Re, -log10
+eps/D) are computed once per block when two or more specs take them,
+else by the one recipe, which takes only the logs it uses.
 """
 
 import math
@@ -313,13 +316,6 @@ def _check_inputs(spec, re_min, re_max, rough_min, rough_max):
         raise DomainError(f"{spec.id}: transformed acceleration undefined for rel_rough = 0")
 
 
-def _starter_key(spec):
-    """The memo key of a scheme's starter: the starter with its sine
-    strategy. A prefix of k acceleration steps extends it with the step
-    form, the constants mode and k."""
-    return spec.starter, spec.sin_strategy
-
-
 def _recipe(spec, re, rel_rough, sine, ab=None, memo=None):
     """The scheme's arithmetic: normalization, starter, then the
     acceleration steps or the one-log step.
@@ -330,16 +326,16 @@ def _recipe(spec, re, rel_rough, sine, ab=None, memo=None):
     from ``ab`` when given, else computed here, each at most once, and
     b is reused by transformed steps.
 
-    ``memo``, a dict over one block of arrays, holds the prefixes that
-    schemes of one starter share: the starter under ``_starter_key``,
-    then the result of each acceleration step. A prefix found there is
-    taken as it is, and one computed here is stored, so a scheme that
-    extends another's prefix computes only its own steps; the starter,
-    the only code that calls the sine, runs once per memo. Without a
-    memo, as in the public evaluators, every step is computed.
+    ``memo``, a dict shared by the schemes of one starter and sine
+    strategy over one block of arrays, holds their prefixes: the
+    starter, then the result of each acceleration step under its form,
+    constants mode and count. A prefix found there is taken as it is,
+    and one computed here is stored, so a scheme that extends another's
+    prefix computes only its own steps. Without a memo every step is
+    computed.
     """
     a, b = (None, None) if ab is None else ab
-    x = None if memo is None else memo.get(_starter_key(spec))
+    x = None if memo is None else memo.get("starter")
     if x is None:
         if spec.starter == "eq2":
             x = starter_eq2_raw(re, rel_rough)
@@ -352,7 +348,7 @@ def _recipe(spec, re, rel_rough, sine, ab=None, memo=None):
             else:
                 x = _SINE_STARTER_FNS[spec.starter](a, b, sin=sine)
         if memo is not None:
-            memo[_starter_key(spec)] = x
+            memo["starter"] = x
     if spec.log_strategy == "pade-one-log":
         return kernels.one_log_second_iteration_raw(re, rel_rough, x)[0]
     transformed = spec.transformed
@@ -362,7 +358,7 @@ def _recipe(spec, re, rel_rough, sine, ab=None, memo=None):
             b = -np.log10(rel_rough)
     for k in range(1, spec.accel_steps + 1):
         if memo is not None:
-            key = (*_starter_key(spec), spec.accel_form, spec.constants, k)
+            key = (spec.accel_form, spec.constants, k)
             if key in memo:
                 x = memo[key]
                 continue
@@ -399,6 +395,31 @@ def evaluate_scheme(spec, point: FlowPoint) -> FrictionIterate:
     return FrictionIterate(float(x), step=spec.accel_steps)
 
 
+def _evaluate_block(spec_list, re, rel_rough):
+    """Check every spec on the extremes of the (Re, eps/D) arrays, unless
+    one is empty, and return an iterator of (k, x, sine_fallbacks) per
+    spec k, in groups, as the module docstring sets out."""
+    if re.size and rel_rough.size:
+        extremes = (re.min(), re.max(), rel_rough.min(), rel_rough.max())
+        for spec in spec_list:
+            _check_inputs(spec, *extremes)
+    groups = {}
+    for k, spec in enumerate(spec_list):
+        groups.setdefault((spec.starter, spec.sin_strategy), []).append(k)
+
+    def run():
+        # the eq2 starter and direct steps take no normalized inputs
+        takers = sum(s.starter != "eq2" or s.transformed for s in spec_list)
+        ab = (np.log10(re), -np.log10(rel_rough)) if takers > 1 else None
+        for (_, sin_strategy), group in groups.items():
+            sine, count = _make_sine(sin_strategy)
+            memo = {}
+            for k in group:
+                yield k, _recipe(spec_list[k], re, rel_rough, sine, ab, memo), count()
+
+    return run()
+
+
 def evaluate_scheme_raw(spec, re, rel_rough):
     """Vectorized scheme evaluation over arrays of (Re, eps/D): the check
     and the recipe of ``evaluate_scheme``, run once on whole arrays.
@@ -414,7 +435,5 @@ def evaluate_scheme_raw(spec, re, rel_rough):
     spec = get_scheme(spec)
     re = np.asarray(re, dtype=float)
     rel_rough = np.asarray(rel_rough, dtype=float)
-    if re.size and rel_rough.size:
-        _check_inputs(spec, re.min(), re.max(), rel_rough.min(), rel_rough.max())
-    sine, count = _make_sine(spec.sin_strategy)
-    return _recipe(spec, re, rel_rough, sine), count()
+    [(_, x, sine_fallbacks)] = _evaluate_block([spec], re, rel_rough)
+    return x, sine_fallbacks

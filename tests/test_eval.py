@@ -103,6 +103,27 @@ class TestSobol:
         with pytest.raises(evaluation.ConfigError, match="n must be an integer, got 4.0"):
             evaluation.sobol_2d(4.0)
 
+    @pytest.mark.parametrize("bounds, mapping", [
+        ((1.0, 2.0), "uniform"),
+        ((4000.0, 1e8, 1e-6, 0.05, 1.0), "uniform"),
+        (5.0, "uniform"),
+        (("4000", 1e8, 1e-6, 0.05), "uniform"),
+        ((1e8, 4000.0, 1e-6, 0.05), "uniform"),
+        ((4000.0, 1e8, 0.05, 0.05), "log"),
+        ((4000.0, math.inf, 1e-6, 0.05), "uniform"),
+        ((math.nan, 1e8, 1e-6, 0.05), "log"),
+        ((4000.0, 1e8, 0.0, 0.05), "log"),
+        ((-1.0, 1e8, 1e-6, 0.05), "log"),
+    ])
+    def test_rejects_bad_bounds(self, bounds, mapping):
+        with pytest.raises(evaluation.ConfigError, match="^bounds must be finite"):
+            evaluation.sobol_2d(4, bounds=bounds, mapping=mapping)
+
+    def test_zero_rough_floor_maps_uniformly(self):
+        pts = evaluation.sobol_2d(4, bounds=(4000.0, 1e8, 0.0, 0.05))
+        assert tuple(pts[0]) == (4000.0, 0.0)
+        assert np.isfinite(pts).all()
+
     @pytest.mark.parametrize("bounds", [None, (4000.0, 1e8, 1e-6, 0.05)])
     def test_rejects_unknown_mapping(self, bounds):
         with pytest.raises(evaluation.ConfigError, match="'bogus'"):
@@ -524,6 +545,16 @@ class TestScan:
         fields = [(e.last_x, e.iterations, e.residual) for e in (scan.value, scalar.value)]
         assert fields[0][1] == core.DEFAULT_MAX_ITER
         np.testing.assert_equal(fields[0], fields[1])
+
+    def test_non_positive_root_has_the_scan_message(self):
+        g = evaluation.GridSpec(re_min=1e5, re_max=2e5, rough_min=5.0, rough_max=6.0,
+                                n_re=2, n_rough=2)
+        with pytest.raises(core.DomainError) as scan:
+            evaluation.scan_errors("eq2", grid=g)
+        with pytest.raises(core.DomainError) as scalar:
+            core.solve_colebrook_exact(core.FlowPoint(1e5, 5.0, out_of_domain_ok=True))
+        assert str(scalar.value) == str(scan.value)
+        assert str(scan.value).startswith("oracle root x=-0.")
 
     def test_scan_rejects_unknown_scheme(self):
         with pytest.raises(schemes.RegistryError):

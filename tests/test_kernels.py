@@ -38,6 +38,12 @@ class TestPadeLn:
         with pytest.raises(core.DomainError):
             kernels.pade_ln(np.array([0.5, -1.0]))
 
+    @pytest.mark.parametrize("z", [math.nan, np.array([math.nan, 1.0])])
+    def test_rejects_nan(self, z):
+        # nan <= 0 is false: the check must not let a NaN through
+        with pytest.raises(core.DomainError, match="pade_ln requires z > 0"):
+            kernels.pade_ln(z)
+
     def test_accuracy_near_one(self):
         # the substitution only ever sees z close to 1
         z = np.linspace(0.9, 1.1, 10001)

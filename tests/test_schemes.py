@@ -286,6 +286,28 @@ class TestEvaluateScheme:
         x, fallbacks = schemes.evaluate_scheme_raw("eq3a-t", [], [])
         assert x.size == 0 and fallbacks == 0
 
+    # which array each log10 call takes: "step" is a direct step's argument
+    @pytest.mark.parametrize("sid, logged", [
+        ("eq2", []),
+        ("eq2a1-t", ["rel_rough"]),
+        ("eq2a2", ["step", "step"]),
+        ("eq3a", ["re", "rel_rough", "step"]),
+        ("eq6a-t", ["re", "rel_rough"]),
+    ])
+    def test_one_scheme_takes_only_the_logs_it_needs(self, sid, logged, monkeypatch):
+        re, rel_rough = np.array([1e4, 1e6]), np.array([1e-5, 1e-3])
+        x_plain, _ = schemes.evaluate_scheme_raw(sid, re, rel_rough)
+        taken, log10 = [], np.log10
+
+        def counted(arg, *args, **kwargs):
+            taken.append("re" if arg is re else "rel_rough" if arg is rel_rough else "step")
+            return log10(arg, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log10", counted)
+        x, _ = schemes.evaluate_scheme_raw(sid, re, rel_rough)
+        assert taken == logged
+        assert x.tobytes() == x_plain.tobytes()
+
     @pytest.mark.parametrize("spec", SWEEP_VARIANTS, ids=lambda spec: spec.id)
     def test_scalar_equals_raw_bit_for_bit(self, spec):
         # log-mapped Sobol points over the default box plus its corners;
