@@ -22,8 +22,15 @@ approximation is judged against.
 
 The oracle has a vector form (``solve_colebrook_raw``) and a scalar form
 (``solve_colebrook_exact``). Both apply the one Newton step
-``_newton_step``; the scalar form runs it on Python floats, with
-``np.log10``, and equals the vector form bit for bit.
+``_newton_step``; the scalar form runs it on Python floats and equals
+the vector form bit for bit.
+
+The transcendentals of every path that runs on floats and on arrays go
+through ``log10``, ``ln`` and ``sin``: the numpy ufunc, looked up at
+call time, whose result on a Python float is returned as a Python float.
+The ufunc rounds a float exactly as it rounds an array element, where
+``math.log10`` differs by an ulp on some arguments; the float result
+keeps the arithmetic after it off numpy scalars.
 """
 
 import math
@@ -44,6 +51,21 @@ DEFAULT_MAX_ITER = 100
 
 # f'(x) = 1 + _K * a / (a*x + c) for f(x) = x + 2 log10(a*x + c)
 _K = 2.0 / math.log(10.0)
+
+
+def log10(v):
+    """np.log10(v); a Python float for a Python float."""
+    return float(np.log10(v)) if type(v) is float else np.log10(v)
+
+
+def ln(v):
+    """np.log(v); a Python float for a Python float."""
+    return float(np.log(v)) if type(v) is float else np.log(v)
+
+
+def sin(v):
+    """np.sin(v); a Python float for a Python float."""
+    return float(np.sin(v)) if type(v) is float else np.sin(v)
 
 
 class DomainError(ValueError):
@@ -148,7 +170,7 @@ def starter_eq2_raw(re, rel_rough):
 
 def colebrook_rhs_raw(re, rel_rough, x):
     """Right-hand side of the implicit equation; polymorphic over arrays."""
-    return -2.0 * np.log10(2.51 * x / re + rel_rough / 3.71)
+    return -2.0 * log10(2.51 * x / re + rel_rough / 3.71)
 
 
 def oracle_start_raw(re, rel_rough):
@@ -167,7 +189,7 @@ def _newton_step(a, c, x):
     A log argument of 0 gives -inf / inf = nan, a negative one nan.
     """
     u = a * x + c
-    return x - (x + 2.0 * np.log10(u)) / (1.0 + _K * a / u)
+    return x - (x + 2.0 * log10(u)) / (1.0 + _K * a / u)
 
 
 def solve_colebrook_raw(re, rel_rough, x0):
@@ -217,13 +239,12 @@ def solve_colebrook_exact(point: FlowPoint) -> SolveReport:
     the validated domain, else from x0 = 8.
 
     Runs the Newton step and stopping rule of ``solve_colebrook_raw`` on
-    Python floats instead of 0-d arrays. The step keeps ``np.log10``,
-    which rounds a float exactly as it rounds an array element, where
-    ``math.log10`` differs by an ulp on some arguments; the other
-    operations are the same IEEE ones in the same order. A log argument
-    that is not positive gives x = nan without calling the log, as the
-    vector step computes nan there. So x, iterations and residual equal
-    the vector solve's bit for bit.
+    Python floats instead of 0-d arrays. The step's ``log10`` rounds a
+    float exactly as an array element, and the other operations are the
+    same IEEE ones in the same order. A log argument that is not positive
+    gives x = nan without calling the log, as the vector step computes
+    nan there. So x, iterations and residual equal the vector solve's bit
+    for bit.
 
     Raises:
         ConvergenceError: the step is not within ``DEFAULT_TOL`` after
@@ -244,7 +265,7 @@ def solve_colebrook_exact(point: FlowPoint) -> SolveReport:
     # a nan difference fails `res <= tol` and keeps iterating, as nan stays
     # active in the vector mask
     for _ in range(DEFAULT_MAX_ITER):
-        x_next = float(_newton_step(a, c, x)) if a * x + c > 0.0 else math.nan
+        x_next = _newton_step(a, c, x) if a * x + c > 0.0 else math.nan
         res = abs(x_next - x)
         iters += 1
         x = x_next

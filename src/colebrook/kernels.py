@@ -10,7 +10,7 @@ get the window flag to decide on fallback.
 
 import numpy as np
 
-from .core import DomainError
+from .core import DomainError, log10
 
 # full machine precision, not a truncated print
 LN10 = 2.302585092994046
@@ -111,7 +111,7 @@ def one_log_second_iteration_raw(re, rel_rough, x0):
         (x2, z), shaped like the inputs.
     """
     y1 = 2.51 * x0 / re + rel_rough / 3.71
-    log10_y1 = np.log10(y1)
+    log10_y1 = log10(y1)
     x1 = -2.0 * log10_y1
     y2 = 2.51 * x1 / re + rel_rough / 3.71
     z = y1 / y2

@@ -7,6 +7,12 @@ acceleration step, ``eqNa2`` two steps, suffix ``-pade`` the one-log
 second iteration, suffix ``-t`` the transformed accelerator. All
 coefficients are kept exactly as published.
 
+Each starter is declared once, as a row of ``_STARTERS``: its raw
+function; whether it takes the normalized (a, b) = (log10 Re, -log10
+eps/D) rather than (Re, eps/D); whether it has a sine, taken as ``sin``,
+and so a kernel sine strategy; whether it requires a = log10(Re) > 0.
+Every reader of a starter fact takes it from the row, not from a name.
+
 A ``SchemeSpec`` decides all a scheme computes, its sine strategy and
 constants mode included; ``variant`` sets those two under an id of its
 own (``eq6a-sinpade``, ``eq2a1-t-exact``). Each scheme has one
@@ -21,13 +27,14 @@ specs grouped by starter and sine strategy. Schemes of one starter form
 prefix chains (``eqNa`` is one step on ``eqN``, ``eq2a2`` on ``eq2a1``):
 a group computes each shared starter and step once through one memo,
 and has one sine, called only by its starter, so the sine's fallback
-count after each member is that member's. (a, b) = (log10 Re, -log10
-eps/D) are computed once per block when two or more specs take them,
-else by the one recipe, which takes only the logs it uses.
+count after each member is that member's. (a, b) are computed once per
+block when two or more specs take them, else by the one recipe, which
+takes only the logs it uses.
 """
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 
@@ -40,6 +47,9 @@ from .core import (
     FlowPoint,
     FrictionIterate,
     colebrook_rhs_raw,
+    ln,
+    log10,
+    sin,
     starter_eq2_raw,
 )
 
@@ -88,22 +98,15 @@ def _make_sine(strategy):
     return sine, lambda: sum(fallbacks)
 
 
-def _point_sine(strategy):
+def _point_sine(kernel):
     """The sine of one float: the kernel value inside the window, the
     exact sine outside it, as ``_make_sine`` picks per element. The
-    window test compares Python floats, which cost far less than numpy
-    scalars; the kernel rounds a float as it rounds an array element."""
-    kernel = kernels.SIN_KERNELS[strategy]
+    kernel rounds a float as it rounds an array element."""
     lo, hi = kernels.SIN_WINDOW
-
-    def sine(arg):
-        x = float(arg)
-        return kernel(x) if lo < x < hi else np.sin(arg)
-
-    return sine
+    return lambda x: kernel(x) if lo < x < hi else sin(x)
 
 
-_POINT_SINES = {"exact": np.sin, **{name: _point_sine(name) for name in kernels.SIN_KERNELS}}
+_POINT_SINES = {"exact": sin, **{k: _point_sine(fn) for k, fn in kernels.SIN_KERNELS.items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +138,17 @@ def starter_eq6_raw(a, b, sin=np.sin):
     )
 
 
-_SINE_STARTER_FNS = {"eq4": starter_eq4_raw, "eq5": starter_eq5_raw, "eq6": starter_eq6_raw}
+# the one declaration of each starter, as the module docstring sets out
+_Starter = namedtuple("_Starter", "fn normalized sine positive_a", defaults=(False, False))
+_STARTERS = {
+    "eq2": _Starter(starter_eq2_raw, normalized=False),
+    "eq3": _Starter(starter_eq3_raw, normalized=True, positive_a=True),
+    "eq4": _Starter(starter_eq4_raw, normalized=True, sine=True),
+    "eq5": _Starter(starter_eq5_raw, normalized=True, sine=True),
+    "eq6": _Starter(starter_eq6_raw, normalized=True, sine=True),
+}
 # the starters with a sine term; only these take a kernel sine strategy
-SINE_STARTERS = tuple(_SINE_STARTER_FNS)
+SINE_STARTERS = tuple(name for name, row in _STARTERS.items() if row.sine)
 
 
 def theta_raw(re, rel_rough, x):
@@ -151,7 +162,6 @@ def theta_raw(re, rel_rough, x):
 # scheme registry
 # ---------------------------------------------------------------------------
 
-_STARTERS = ("eq2", "eq3", "eq4", "eq5", "eq6")
 _ACCEL_FORMS = ("direct", "transformed")
 _LOG_STRATEGIES = ("exact", "pade-one-log")
 SIN_STRATEGIES = ("exact", *kernels.SIN_KERNELS)
@@ -191,7 +201,7 @@ class SchemeSpec:
         if one_log and (self.accel_steps, self.accel_form) != (2, "direct"):
             # the trick replaces the second of exactly two direct logs
             raise SchemeError("pade-one-log requires accel_steps = 2 and the direct form")
-        if self.starter not in SINE_STARTERS and self.sin_strategy != "exact":
+        if not _STARTERS[self.starter].sine and self.sin_strategy != "exact":
             raise SchemeError(
                 f"starter {self.starter} contains no sine; sin_strategy must be exact"
             )
@@ -282,7 +292,7 @@ def variant(spec, sin_strategy: str = "exact", constants: str = "published") -> 
     sid, last, changes = spec.id, "", {}
     if spec.constants != "published" and sid.endswith(f"-{spec.constants}"):
         sid, last = sid[:-len(spec.constants) - 1], f"-{spec.constants}"
-    if spec.starter in SINE_STARTERS and _applies(spec, "sin_strategy", sin_strategy, "exact"):
+    if _STARTERS[spec.starter].sine and _applies(spec, "sin_strategy", sin_strategy, "exact"):
         sid += f"-sin{sin_strategy}"
         changes["sin_strategy"] = sin_strategy
     if spec.transformed and _applies(spec, "constants", constants, "published"):
@@ -295,8 +305,8 @@ def _check_inputs(spec, re_min, re_max, rough_min, rough_max):
     """Raise DomainError unless the extremes of a scheme's Re and eps/D
     (one point's values, twice) are finite with Re > 0 and eps/D >= 0, as
     in ``FlowPoint``, and meet the scheme's preconditions: eps/D at least
-    the smooth floor for a normalized starter, Re > 1 for eq3 (a = log10
-    Re must be positive), eps/D > 0 for a transformed step; the message
+    the smooth floor for a normalized starter, Re > 1 for one that needs
+    a = log10 Re > 0, eps/D > 0 for a transformed step; the message
     of a failed precondition names the scheme. A NaN makes both extremes
     NaN."""
     if not 0.0 < re_min <= re_max < math.inf:
@@ -305,13 +315,16 @@ def _check_inputs(spec, re_min, re_max, rough_min, rough_max):
         raise DomainError(
             f"rel_rough must be non-negative and finite, got values in [{rough_min}, {rough_max}]"
         )
-    if spec.starter != "eq2" and rough_min < MIN_NORMALIZED_ROUGH:
+    row = _STARTERS[spec.starter]
+    if row.normalized and rough_min < MIN_NORMALIZED_ROUGH:
         raise DomainError(
             f"{spec.id}: normalized starters require rel_rough >= {MIN_NORMALIZED_ROUGH}, "
             f"got {rough_min}"
         )
-    if spec.starter == "eq3" and not re_min > 1.0:
-        raise DomainError(f"{spec.id}: starter eq3 requires a = log10(Re) > 0, got re={re_min}")
+    if row.positive_a and not re_min > 1.0:
+        raise DomainError(
+            f"{spec.id}: starter {spec.starter} requires a = log10(Re) > 0, got re={re_min}"
+        )
     if spec.transformed and not rough_min > 0.0:
         raise DomainError(f"{spec.id}: transformed acceleration undefined for rel_rough = 0")
 
@@ -337,16 +350,11 @@ def _recipe(spec, re, rel_rough, sine, ab=None, memo=None):
     a, b = (None, None) if ab is None else ab
     x = None if memo is None else memo.get("starter")
     if x is None:
-        if spec.starter == "eq2":
-            x = starter_eq2_raw(re, rel_rough)
-        else:
-            if ab is None:
-                a = np.log10(re)
-                b = -np.log10(rel_rough)
-            if spec.starter == "eq3":
-                x = starter_eq3_raw(a, b)
-            else:
-                x = _SINE_STARTER_FNS[spec.starter](a, b, sin=sine)
+        row = _STARTERS[spec.starter]
+        if row.normalized and ab is None:
+            a, b = log10(re), -log10(rel_rough)
+        args = (a, b) if row.normalized else (re, rel_rough)
+        x = row.fn(*args, sin=sine) if row.sine else row.fn(*args)
         if memo is not None:
             memo["starter"] = x
     if spec.log_strategy == "pade-one-log":
@@ -355,7 +363,7 @@ def _recipe(spec, re, rel_rough, sine, ab=None, memo=None):
     if transformed:
         c1, c2 = _TRANSFORMED_CONSTANTS[spec.constants]
         if b is None:
-            b = -np.log10(rel_rough)
+            b = -log10(rel_rough)
     for k in range(1, spec.accel_steps + 1):
         if memo is not None:
             key = (spec.accel_form, spec.constants, k)
@@ -363,7 +371,7 @@ def _recipe(spec, re, rel_rough, sine, ab=None, memo=None):
                 x = memo[key]
                 continue
         if transformed:
-            x = c1 + 2.0 * b - c2 * np.log(1.0 - theta_raw(re, rel_rough, x))
+            x = c1 + 2.0 * b - c2 * ln(1.0 - theta_raw(re, rel_rough, x))
         else:
             x = colebrook_rhs_raw(re, rel_rough, x)
         if memo is not None:
@@ -391,8 +399,11 @@ def evaluate_scheme(spec, point: FlowPoint) -> FrictionIterate:
     spec = get_scheme(spec)
     re, rel_rough = float(point.re), float(point.rel_rough)
     _check_inputs(spec, re, re, rel_rough, rel_rough)
-    x = _recipe(spec, re, rel_rough, _POINT_SINES[spec.sin_strategy])
-    return FrictionIterate(float(x), step=spec.accel_steps)
+    try:
+        x = _recipe(spec, re, rel_rough, _POINT_SINES[spec.sin_strategy])
+    except ZeroDivisionError:  # an array element gets +-inf, and then a non-finite x
+        x = math.nan
+    return FrictionIterate(x, step=spec.accel_steps)
 
 
 def _evaluate_block(spec_list, re, rel_rough):
@@ -408,8 +419,7 @@ def _evaluate_block(spec_list, re, rel_rough):
         groups.setdefault((spec.starter, spec.sin_strategy), []).append(k)
 
     def run():
-        # the eq2 starter and direct steps take no normalized inputs
-        takers = sum(s.starter != "eq2" or s.transformed for s in spec_list)
+        takers = sum(_STARTERS[s.starter].normalized or s.transformed for s in spec_list)
         ab = (np.log10(re), -np.log10(rel_rough)) if takers > 1 else None
         for (_, sin_strategy), group in groups.items():
             sine, count = _make_sine(sin_strategy)

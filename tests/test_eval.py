@@ -423,15 +423,15 @@ class TestScan:
                 return fn(*args, **kwargs)
             return count
 
-        for name in ("starter_eq2_raw", "starter_eq3_raw", "colebrook_rhs_raw", "theta_raw"):
+        for name in ("colebrook_rhs_raw", "theta_raw"):
             monkeypatch.setattr(schemes, name, counted(name, getattr(schemes, name)))
-        for name, fn in list(schemes._SINE_STARTER_FNS.items()):
-            monkeypatch.setitem(schemes._SINE_STARTER_FNS, name, counted(name, fn))
+        for name, row in list(schemes._STARTERS.items()):
+            monkeypatch.setitem(schemes._STARTERS, name, row._replace(fn=counted(name, row.fn)))
         res = evaluation.scan_many(specs, grid=SMALL)
         assert SMALL.size <= evaluation._SCAN_BLOCK
         # per sine starter the exact sine once and each kernel once
         assert calls == {
-            ("starter_eq2_raw", None): 1, ("starter_eq3_raw", None): 1,
+            ("eq2", None): 1, ("eq3", None): 1,
             ("eq4", True): 1, ("eq4", False): 2, ("eq5", True): 1, ("eq5", False): 2,
             ("eq6", True): 1, ("eq6", False): 2,
             # eq2a1 and eq2a2's first step are one; then eq3a to eq6a, and

@@ -97,6 +97,33 @@ class TestStarters:
             assert args == [coef * 5.0 - 4.0]
         assert schemes.SINE_STARTERS == ("eq4", "eq5", "eq6")
 
+    @pytest.mark.parametrize("name", list(schemes._STARTERS))
+    def test_each_row_decides_its_starter_rules(self, name):
+        # the sine rule and the input checks follow the table's row
+        row = schemes._STARTERS[name]
+        bare = schemes.SchemeSpec(name, name)
+        if row.sine:
+            assert schemes.SchemeSpec(name, name, sin_strategy="pade").sin_strategy == "pade"
+            assert schemes.variant(bare, "pade").id == f"{name}-sinpade"
+        else:
+            with pytest.raises(schemes.SchemeError, match="contains no sine"):
+                schemes.SchemeSpec(name, name, sin_strategy="pade")
+            assert schemes.variant(bare, "pade") is bare
+        below_floor = [1e5], [core.MIN_NORMALIZED_ROUGH / 2]
+        if row.normalized:
+            with pytest.raises(core.DomainError, match=f"{name}: normalized starters require"):
+                schemes.evaluate_scheme_raw(bare, *below_floor)
+        else:
+            schemes.evaluate_scheme_raw(bare, *below_floor)
+        re_one = [1.0], [1e-4]
+        if name == "eq3":
+            with pytest.raises(core.DomainError, match=r"eq3: starter eq3 requires a = log10"):
+                schemes.evaluate_scheme_raw(bare, *re_one)
+        else:
+            schemes.evaluate_scheme_raw(bare, *re_one)
+        assert schemes.SINE_STARTERS == tuple(n for n, r in schemes._STARTERS.items() if r.sine)
+        assert schemes.SINE_STARTERS == ("eq4", "eq5", "eq6")
+
 
 class TestAcceleration:
     def test_two_step_chain(self):
@@ -281,6 +308,20 @@ class TestEvaluateScheme:
             schemes.evaluate_scheme_raw(sid, [1e5, re], [1e-4, rough])
         with pytest.raises(core.DomainError):
             core.FlowPoint(re, rough, out_of_domain_ok=True)
+
+    @pytest.mark.parametrize("sid, re, rough", [
+        ("eq2a2-t", 1e-300, 1e-30),  # (eps/D)*Re underflows to 0 under theta
+        ("eq4a-t", 1e-316, 1e-9),
+        ("eq2a2-pade", 12.176180180675074, 0.0),  # y1 = 1 exactly, so y2 = 0
+    ])
+    def test_point_division_by_zero_is_a_non_finite_result(self, sid, re, rough):
+        # a float divides by zero where an array element divides to +-inf
+        # and the recipe ends non-finite
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x, _ = schemes.evaluate_scheme_raw(sid, [re], [rough])
+        assert not np.isfinite(x[0])
+        with pytest.raises(core.DomainError, match="iterate x must be positive and finite"):
+            schemes.evaluate_scheme(sid, core.FlowPoint(re, rough, out_of_domain_ok=True))
 
     def test_raw_path_takes_empty_arrays(self):
         x, fallbacks = schemes.evaluate_scheme_raw("eq3a-t", [], [])
