@@ -1,15 +1,18 @@
 """Mesh scans, quasi-random sampling, exports, and the cost model."""
 
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from colebrook import core, evaluation, schemes
+from colebrook import _floatrepr, core, evaluation, schemes
 
 scipy_qmc = pytest.importorskip("scipy.stats", reason="scipy is the Sobol cross-check")
 
@@ -604,6 +607,74 @@ def _special_map():
     return evaluation.ErrorMap(None, *cols)
 
 
+def _formatted(x):
+    """(got, want): the texts ``repr_bytes`` and ``repr`` give for each
+    value of x, as NUL-padded S25 arrays."""
+    x = np.asarray(x, dtype=np.float64)
+    m = _floatrepr.repr_bytes(x)
+    assert m.shape[0] == x.size and not m[:, -1].any()  # the separator column
+    got = np.zeros((x.size, 25), np.uint8)
+    got[:, :m.shape[1]] = m
+    want = np.array([repr(v).encode() for v in x.tolist()], dtype="S25")
+    return got.view("S25").ravel(), want
+
+
+def _assert_repr_equal(x):
+    got, want = _formatted(x)
+    bad = np.flatnonzero(got != want)
+    assert bad.size == 0, [(want[i], got[i]) for i in bad[:5]]
+
+
+class TestShortestRepr:
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(2020)
+        u64 = np.uint64
+        sign = rng.integers(0, 2, 150_000, dtype=u64) << u64(63)
+        frac = rng.integers(0, 1 << 52, 150_000, dtype=u64)
+        # every biased exponent, 0 (zeros, subnormals) and 2047 (inf, nan) included
+        biased = rng.integers(0, 2048, 150_000, dtype=u64)
+        # subnormals with few significant bits, and nans with sign and payload bits
+        frac[:2000] %= u64(4096)
+        biased[:2000] = 0
+        frac[2000:4000] |= u64(1)
+        biased[2000:4000] = 2047
+        bits = np.concatenate([
+            sign | (biased << u64(52)) | frac,
+            rng.integers(0, 1 << 64, 50_000, dtype=u64, endpoint=False),
+        ])
+        _assert_repr_equal(bits.view(np.float64))
+
+    def test_around_powers_of_two(self):
+        # a power of two's rounding interval is asymmetric
+        powers = np.ldexp(1.0, np.arange(-1074, 1024)).view(np.uint64)
+        near = [powers + np.uint64(d) for d in range(4)]
+        near += [powers[1:] - np.uint64(d) for d in range(1, 4)]
+        bits = np.concatenate(near)
+        _assert_repr_equal(np.concatenate([bits, bits | np.uint64(1 << 63)]).view(np.float64))
+
+    def test_integers_thousandths_and_powers_of_ten(self):
+        _assert_repr_equal(np.arange(100_001, dtype=np.float64))
+        _assert_repr_equal(np.arange(100_001) / 1000)
+        _assert_repr_equal(10.0 ** np.arange(-323, 309))
+
+    def test_values_written_by_repr_widen_the_field(self):
+        # zeros, subnormals, inf and nan take repr one value at a time
+        x = np.array([1.0, -2.225073858507201e-308, 5e-324, 5e-323, -0.0, math.inf,
+                      math.nan, 0.5])
+        _assert_repr_equal(x)
+        assert _floatrepr.repr_bytes(x).shape == (8, 24)
+
+    def test_import_builds_no_table(self):
+        # a fresh interpreter, so that no earlier test has built the tables
+        src = str(Path(evaluation.__file__).resolve().parents[1])
+        code = ("import sys, colebrook; print('colebrook._floatrepr' in sys.modules); "
+                "from colebrook import _floatrepr; print(_floatrepr._TABLES.pow10 is None)")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.split() == ["False", "True"]
+
+
 class TestExports:
     def test_csv_bytes_equal_row_by_row_writer_across_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(evaluation, "_CSV_BLOCK", 7)
@@ -622,6 +693,36 @@ class TestExports:
         for token in (b"-0.0", b"nan", b"-inf", b"5e-324", b"1e+16", b"9999999999999998.0",
                       b"1e-05", b"0.0001"):
             assert token in text
+
+    def test_csv_bytes_equal_row_by_row_writer_on_default_grid(self, tmp_path):
+        em, _ = evaluation.scan_errors("eq2a2", grid=evaluation.DEFAULT_GRID)
+        evaluation.export_csv(em, tmp_path / "new.csv")
+        _row_by_row_csv(em, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_csv_of_an_empty_map_is_the_header(self, tmp_path):
+        em = evaluation.ErrorMap(None, *(np.empty(0) for _ in range(5)))
+        evaluation.export_csv(em, tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_text() == evaluation.CSV_HEADER + "\n"
+
+    def test_csv_writes_every_column_as_float64(self, tmp_path):
+        rng = np.random.default_rng(3)
+        wide = rng.random(24).astype(np.float32)
+        em = evaluation.ErrorMap(
+            None,
+            re=np.arange(4000, 4012),  # int
+            rel_rough=np.full(12, 1e-6),
+            lambda_ref=np.arange(12) // 3,  # int
+            lambda_approx=wide[::2],  # float32, not contiguous
+            rel_err_pct=np.linspace(0.0, 1.0, 12),
+        )
+        evaluation.export_csv(em, tmp_path / "map.csv")
+        rows = (tmp_path / "map.csv").read_text().splitlines()[1:]
+        cells = [row.split(",") for row in rows]
+        cols = (em.re, em.rel_rough, em.lambda_ref, em.lambda_approx, em.rel_err_pct)
+        want = [[repr(float(col[i])) for col in cols] for i in range(12)]
+        assert cells == want
+        assert cells[0][:3] == ["4000.0", "1e-06", "0.0"]
 
     def test_csv_round_trip_keeps_special_values_bit_for_bit(self, tmp_path):
         em = _special_map()
