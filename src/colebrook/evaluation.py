@@ -13,11 +13,16 @@ together through ``schemes._evaluate_block``. Every point's computation
 is independent and the reduction is associativity-safe, so results are
 identical for any block size and worker count. The mean error is the
 correctly rounded sum of the map divided by its size, the value
-``math.fsum`` gives. The sum is kept exactly as an integer count of
-2**-1074, accumulated block by block while each block's errors are in
-cache and rounded once per map; each map's stats are then finished on
-the same pool, one task per scheme. ``stats_of`` and ``exact_sum``
-compute the same from a whole array.
+``math.fsum`` gives. ``stats_of`` and ``exact_sum`` sum a whole array
+exactly by error-free extraction (``_sum_units``). A scan encloses each
+block's sum while its errors are in cache, from the first extraction
+level and a float sum of its remainders with an any-order error bound
+(``_one_level_sum``), and adds the enclosures as integer counts of
+2**-1074; each map's stats are then finished on the same pool, one task
+per scheme. A map's sum is rounded from its enclosure when both ends
+round alike, else summed exactly; the p99 partitions only the errors
+at or above a threshold preselected from a sample, when enough lie
+there, else the whole map.
 
 CSV export writes each float as ``repr`` does, the shortest decimal
 that reads back to it, but computes the digits for a block of values at
@@ -28,7 +33,6 @@ Zeros, subnormals, inf and nan go through ``repr`` one at a time.
 
 import math
 import operator
-import statistics
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -294,10 +298,95 @@ def exact_sum(values) -> float:
     return _round_units(*_sum_units(flat), flat)
 
 
-def _finish_stats(errmap, units, nonfinite, max_pct):
-    """``stats_of`` of a non-empty map, given the exact sum of its finite
-    errors in units of 2**-1074, whether an error is inf or nan, and its
-    largest error (nan if any error is nan)."""
+def _one_level_sum(r, top):
+    """A certified enclosure of the exact sum of the finite values of a
+    flat float64 array, from one extraction level of ``_sum_units``:
+    (units, radius, nonfinite), where the sum lies within ``radius`` of
+    ``units``, both integer counts of 2**-1074, and nonfinite tells
+    whether ``r`` holds inf or nan. ``top`` is max|r| (nan if an entry is
+    nan).
+
+    The level's terms q, the entries rounded to multiples of 2**(k-53)
+    under sigma = 2**k, add exactly to U; the n remainders, each at most
+    2**(k-53) in magnitude, are summed in floating point to T, in
+    whatever order numpy takes. Any order errs by at most
+    gamma(n-1) * sum|rest| <= gamma(n-1) * n * 2**(k-53) = B, with
+    gamma(m) = m*u / (1 - m*u) and u = 2**-53 (N. J. Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2nd ed., 2002, section 4.2), so
+    the sum lies within B, rounded up, of U + T. A sigma past the float
+    range takes the exact sum instead, with radius 0.
+    """
+    nonfinite = not math.isfinite(top)
+    if nonfinite:
+        r = r[np.isfinite(r)]
+        top = np.max(np.abs(r), initial=0.0)
+    n = r.size
+    k = math.frexp(top)[1] + (n + 1).bit_length()
+    if not top or k > 1023:
+        return _sum_units(r, top)[0], 0, nonfinite
+    sigma = 2.0 ** k
+    q = r + sigma
+    q -= sigma
+    head = float(q.sum())
+    np.subtract(r, q, out=q)
+    units = _float_units(head) + _float_units(float(q.sum()))
+    # B in units of 2**-1074, as (n - 1) * n * 2**(k + 1021) / (2**53 - (n - 1))
+    e = k + 1021
+    num = (n - 1) * n << max(e, 0)
+    den = ((1 << 53) - (n - 1)) << max(-e, 0)
+    return units, -(-num // den), nonfinite
+
+
+def _float_units(x):
+    """A finite float as an integer count of 2**-1074, exactly."""
+    num, den = x.as_integer_ratio()
+    return (num << 1074) // den
+
+
+def _rounds_alike(lo, hi):
+    """Whether sums of lo and hi units of 2**-1074 round to one double."""
+    try:
+        return lo / (1 << 1074) == hi / (1 << 1074)
+    except OverflowError:
+        return False
+
+
+# strided sample of each map from which the 99th-percentile preselection
+# threshold is taken
+_P99_SAMPLE = 4096
+
+
+def _nearest_rank(err, rank):
+    """The rank-th smallest of a flat float64 array without NaN (rank
+    counted from 1), the value ``np.partition(err, rank - 1)`` puts at
+    rank - 1.
+
+    A threshold is taken from a strided sample, low enough that about
+    twice the m = n - rank + 1 values needed lie at or above it. If at
+    least m errors do, the m-th largest of them is the m-th largest of
+    all, which only those few are partitioned for; otherwise the whole
+    array is.
+    """
+    n = err.size
+    m = n - rank + 1
+    sample = err[::max(1, n // _P99_SAMPLE)]
+    c = min(sample.size, 2 * m * sample.size // n + 8)
+    threshold = np.partition(sample, sample.size - c)[sample.size - c]
+    high = err[err >= threshold]
+    if high.size >= m:
+        return np.partition(high, high.size - m)[high.size - m]
+    return np.partition(err, rank - 1)[rank - 1]
+
+
+def _finish_stats(errmap, units, radius, nonfinite, max_pct):
+    """``stats_of`` of a non-empty map, given an enclosure of the exact
+    sum of its finite errors, which lies within ``radius`` of ``units``
+    (both in units of 2**-1074), whether an error is inf or nan, and its
+    largest error (nan if any error is nan).
+
+    When the enclosure's ends round to one double, that double is the
+    correctly rounded sum; otherwise the map is summed exactly.
+    """
     err = errmap.rel_err_pct
     n = err.size
     if math.isnan(max_pct):
@@ -305,17 +394,19 @@ def _finish_stats(errmap, units, nonfinite, max_pct):
             f"cannot summarize a map with NaN errors: "
             f"{np.count_nonzero(np.isnan(err))} of {n} points are NaN"
         )
-    ties = np.flatnonzero(err == max_pct)
+    flat = np.ascontiguousarray(err, dtype=np.float64).reshape(-1)
+    ties = np.flatnonzero(flat == max_pct)
     i = int(ties[np.lexsort((errmap.rel_rough[ties], errmap.re[ties]))[0]])
-    mean_pct = _round_units(units, nonfinite, err) / n
+    if radius and not _rounds_alike(units - radius, units + radius):
+        units = _sum_units(flat)[0]
+    mean_pct = _round_units(units, nonfinite, flat) / n
     rank = max(1, math.ceil(0.99 * n))  # nearest-rank definition
-    p99_pct = float(np.partition(err, rank - 1)[rank - 1])
     return ErrorStats(
         max_pct=max_pct,
         argmax_re=float(errmap.re[i]),
         argmax_rough=float(errmap.rel_rough[i]),
         mean_pct=mean_pct,
-        p99_pct=p99_pct,
+        p99_pct=float(_nearest_rank(flat, rank)),
     )
 
 
@@ -333,8 +424,8 @@ def stats_of(errmap: ErrorMap) -> ErrorStats:
     err = errmap.rel_err_pct
     if err.size == 0:
         raise ConfigError("cannot summarize an empty map")
-    flat = np.ascontiguousarray(err, dtype=np.float64).reshape(-1)
-    return _finish_stats(errmap, *_sum_units(flat), float(err.max()))
+    units, nonfinite = _sum_units(np.ascontiguousarray(err, dtype=np.float64).reshape(-1))
+    return _finish_stats(errmap, units, 0, nonfinite, float(err.max()))
 
 
 # points per block of scan_many's pass over the mesh: 512 KiB per float64
@@ -350,9 +441,10 @@ def _scan_block(spec_list, re_c, rough_c, lam_ref_c, outs_c):
     oracle runs.
 
     Returns:
-        one (sine_fallbacks, units, nonfinite, max) tuple per spec: the
-        exact sum of the finite errors in units of 2**-1074, whether an
-        error is inf or nan, and the largest error (nan if one is nan).
+        one (sine_fallbacks, units, radius, nonfinite, max) tuple per
+        spec: the finite errors' sum enclosed by ``_one_level_sum``,
+        whether an error is inf or nan, and the largest error (nan if
+        one is nan).
     """
     results = schemes._evaluate_block(spec_list, re_c, rough_c)
     x0 = core.oracle_start_raw(re_c, rough_c)
@@ -380,7 +472,7 @@ def _scan_block(spec_list, re_c, rough_c, lam_ref_c, outs_c):
         core.relative_error_pct_raw(lam_ref_c, lam_a, out=err)
         # errors are not negative, so their maximum is max|err|
         top = err.max()
-        record[k] = (sine_fallbacks, *_sum_units(err, top), float(top))
+        record[k] = (sine_fallbacks, *_one_level_sum(err, top), float(top))
     return record
 
 
@@ -394,8 +486,9 @@ def scan_many(scheme_ids, grid=None, workers=1):
     points, whatever the worker count, and a pool of ``min(workers,
     blocks)`` threads fills them, one ``_scan_block`` task per block; a
     failure is reported from the first failing block in mesh order. The
-    blocks' exact sums, flags and maxima reduce per scheme, and the same
-    pool finishes the stats, one task per scheme, as ``stats_of`` does.
+    blocks' sum enclosures, flags and maxima reduce per scheme, and the
+    same pool finishes the stats, one task per scheme, as ``stats_of``
+    does.
     Every point is computed alone, so maps, stats and sine-fallback
     counts are the same bit for bit at any block size and worker count,
     and the stats equal ``stats_of`` of the maps.
@@ -440,14 +533,14 @@ def scan_many(scheme_ids, grid=None, workers=1):
     with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
         per_spec = zip(*pool.map(block, bounds[:-1], bounds[1:]))
         # each a tuple over the specs of a tuple over the blocks
-        counts, units, nonfinite, tops = zip(*(zip(*recs) for recs in per_spec))
+        counts, units, radii, nonfinite, tops = zip(*(zip(*recs) for recs in per_spec))
         errmaps = [
             ErrorMap(grid, re_flat, rough_flat, lam_ref, *rows, sine_fallbacks=sum(nfb))
             for rows, nfb in zip(outs, counts)
         ]
         # max propagates nan, which the finishing check reports
         stats = pool.map(
-            _finish_stats, errmaps, map(sum, units), map(any, nonfinite),
+            _finish_stats, errmaps, map(sum, units), map(sum, radii), map(any, nonfinite),
             np.max(tops, axis=1).tolist(),
         )
         return {spec.id: (em, st) for spec, em, st in zip(spec_list, errmaps, stats)}
@@ -691,7 +784,7 @@ def cost_profile(scheme_id) -> CostProfile:
     ops = Counter()
     re, rel_rough = (np.array([v]).view(_CountingArray) for v in (1e5, 1e-4))
     re.ops = rel_rough.ops = ops
-    next(schemes._evaluate_block([spec], re, rel_rough))
+    schemes._recipe(spec, re, rel_rough, schemes._plain_sine(spec.sin_strategy))
     return CostProfile(spec.id, ops[np.log10] + ops[np.log], ops[np.sin], ops[np.divide])
 
 
@@ -705,6 +798,10 @@ def benchmark(scheme_ids, batch=None, reps=9):
     Returns:
         list of CostProfile with timing filled, one per requested scheme.
     """
+    # imported on first use: with decimal and fractions it is a tenth of
+    # the package's own import time
+    import statistics
+
     if _count("reps", reps) < 3:
         raise ConfigError(f"reps must be >= 3, got {reps}")
     if batch is None:

@@ -99,21 +99,26 @@ def sin_kernel(x, strategy):
     return kernel(x), in_sin_window(x)
 
 
-def one_log_second_iteration_raw(re, rel_rough, x0):
+def one_log_second_iteration_raw(re, rel_rough, x0, x1=None):
     """Two acceleration steps with a single real logarithm, on floats or
     arrays.
 
     First step: y1 = 2.51*x0/Re + (eps/D)/3.71, x1 = -2*log10(y1), the one
     real logarithm. Second step: y2 from x1, z = y1/y2 (very close to 1),
-    and log10(y2) = log10(y1) - pade_ln(z)/ln(10).
+    and log10(y2) = log10(y1) - pade_ln(z)/ln(10), where log10(y1) is
+    -x1/2, exactly.
+
+    ``x1``, the first step from x0, is taken as given when the caller has
+    it (a scheme memo holds it from the first direct step, which rounds
+    as this one does); then no logarithm is taken.
 
     Returns:
         (x2, z), shaped like the inputs.
     """
     y1 = 2.51 * x0 / re + rel_rough / 3.71
-    log10_y1 = log10(y1)
-    x1 = -2.0 * log10_y1
+    if x1 is None:
+        x1 = -2.0 * log10(y1)
     y2 = 2.51 * x1 / re + rel_rough / 3.71
     z = y1 / y2
-    log10_y2 = log10_y1 - pade_ln(z) / LN10
+    log10_y2 = -0.5 * x1 - pade_ln(z) / LN10
     return -2.0 * log10_y2, z

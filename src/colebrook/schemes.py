@@ -23,13 +23,20 @@ Python floats and on numpy arrays, after one input check,
 
 Arrays go through ``_evaluate_block``, which checks every spec on the
 extremes in input order before it computes anything, then runs the
-specs grouped by starter and sine strategy. Schemes of one starter form
-prefix chains (``eqNa`` is one step on ``eqN``, ``eq2a2`` on ``eq2a1``):
-a group computes each shared starter and step once through one memo,
-and has one sine, called only by its starter, so the sine's fallback
-count after each member is that member's. (a, b) are computed once per
-block when two or more specs take them, else by the one recipe, which
-takes only the logs it uses.
+specs grouped by starter. Schemes of one starter form prefix chains
+(``eqNa`` is one step on ``eqN``, ``eq2a2`` on ``eq2a1``): a group
+computes each shared starter and step once through one memo, and its
+exact prefixes call ``np.sin`` once, in the starter. ``eq2a2-pade``
+takes its first step from the memo when ``eq2a1`` put it there. A kernel
+sine equals the exact sine outside its window, so there a kernel-sine
+scheme is its exact prefix, bit for bit: the group computes that prefix
+(if no exact scheme asked for it, then for the kernel scheme alone), and
+runs each kernel strategy's recipe, through a memo of its own, on the
+points whose sine argument lies inside the window only; the others are
+its sine fallbacks. (a, b) are computed once per block when two or more
+recipes take them (a kernel-sine scheme runs two), else by the one
+recipe, which takes only the logs it uses. Each starter's memos are
+released before the next starter's group runs.
 """
 
 import math
@@ -76,31 +83,15 @@ _TRANSFORMED_CONSTANTS = {
 CONSTANTS_MODES = tuple(_TRANSFORMED_CONSTANTS)
 
 
-def _make_sine(strategy):
-    """Build an array sine callable for a strategy plus a fallback counter.
-
-    Kernel strategies evaluate the rational/polynomial approximant inside
-    the accuracy window and fall back to the exact sine outside it; the
-    counter reports how many arguments fell back.
-    """
-    if strategy == "exact":
-        return np.sin, lambda: 0
-    fallbacks = []
-
-    def sine(arg):
-        value, ok = kernels.sin_kernel(arg, strategy)
-        n_out = int(np.size(arg) - np.count_nonzero(ok))
-        fallbacks.append(n_out)
-        if n_out:
-            return np.where(ok, value, np.sin(arg))
-        return value
-
-    return sine, lambda: sum(fallbacks)
+def _plain_sine(strategy):
+    """The array sine of a strategy with no fallback: ``np.sin``, or the
+    kernel alone, which ``_evaluate_block`` runs on window points only."""
+    return np.sin if strategy == "exact" else kernels.SIN_KERNELS[strategy]
 
 
 def _point_sine(kernel):
     """The sine of one float: the kernel value inside the window, the
-    exact sine outside it, as ``_make_sine`` picks per element. The
+    exact sine outside it, as ``_evaluate_block`` picks per element. The
     kernel rounds a float as it rounds an array element."""
     lo, hi = kernels.SIN_WINDOW
     return lambda x: kernel(x) if lo < x < hi else sin(x)
@@ -358,7 +349,9 @@ def _recipe(spec, re, rel_rough, sine, ab=None, memo=None):
         if memo is not None:
             memo["starter"] = x
     if spec.log_strategy == "pade-one-log":
-        return kernels.one_log_second_iteration_raw(re, rel_rough, x)[0]
+        # the first direct step, when another scheme of the memo took it
+        x1 = None if memo is None else memo.get(("direct", "published", 1))
+        return kernels.one_log_second_iteration_raw(re, rel_rough, x, x1)[0]
     transformed = spec.transformed
     if transformed:
         c1, c2 = _TRANSFORMED_CONSTANTS[spec.constants]
@@ -406,26 +399,58 @@ def evaluate_scheme(spec, point: FlowPoint) -> FrictionIterate:
     return FrictionIterate(x, step=spec.accel_steps)
 
 
+def _window_points(arg, arrays):
+    """The flat indices where a sine argument lies inside the kernel
+    window, and each array, broadcast to the argument's shape, at them."""
+    idx = np.flatnonzero(kernels.in_sin_window(arg))
+    shape = np.shape(arg)
+    return idx, [np.broadcast_to(v, shape).reshape(-1).take(idx) for v in arrays]
+
+
 def _evaluate_block(spec_list, re, rel_rough):
     """Check every spec on the extremes of the (Re, eps/D) arrays, unless
     one is empty, and return an iterator of (k, x, sine_fallbacks) per
-    spec k, in groups, as the module docstring sets out."""
+    spec k, starter by starter, as the module docstring sets out."""
     if re.size and rel_rough.size:
         extremes = (re.min(), re.max(), rel_rough.min(), rel_rough.max())
         for spec in spec_list:
             _check_inputs(spec, *extremes)
-    groups = {}
+    starters = {}
     for k, spec in enumerate(spec_list):
-        groups.setdefault((spec.starter, spec.sin_strategy), []).append(k)
+        starters.setdefault(spec.starter, {}).setdefault(spec.sin_strategy, []).append(k)
 
     def run():
-        takers = sum(_STARTERS[s.starter].normalized or s.transformed for s in spec_list)
+        # a kernel spec takes (a, b) twice: on the block and on its window
+        takers = sum(
+            (_STARTERS[s.starter].normalized or s.transformed) * (1 + (s.sin_strategy != "exact"))
+            for s in spec_list
+        )
         ab = (np.log10(re), -np.log10(rel_rough)) if takers > 1 else None
-        for (_, sin_strategy), group in groups.items():
-            sine, count = _make_sine(sin_strategy)
-            memo = {}
-            for k in group:
-                yield k, _recipe(spec_list[k], re, rel_rough, sine, ab, memo), count()
+        for strategies in starters.values():
+            # the exact prefixes and the one exact sine, whose argument
+            # the starter hands to the sine
+            memo, args, idx = {}, [], None
+
+            def exact_sine(arg):
+                args.append(arg)
+                return np.sin(arg)
+
+            for strategy, group in strategies.items():
+                kernel_memo = {}
+                for k in group:
+                    spec = spec_list[k]
+                    # outside the window a kernel spec is its exact prefix
+                    x = _recipe(spec, re, rel_rough, exact_sine, ab, memo)
+                    if strategy == "exact":
+                        yield k, x, 0
+                        continue
+                    if idx is None:
+                        idx, (re_w, rough_w, *ab_w) = _window_points(
+                            args[0], (re, rel_rough, *(ab or ())))
+                    x = np.array(x)  # a copy; the memo keeps the exact prefix
+                    x.reshape(-1)[idx] = _recipe(
+                        spec, re_w, rough_w, _plain_sine(strategy), ab_w or None, kernel_memo)
+                    yield k, x, x.size - idx.size
 
     return run()
 

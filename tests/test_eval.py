@@ -12,11 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from colebrook import _floatrepr, core, evaluation, schemes
+from colebrook import _floatrepr, core, evaluation, kernels, schemes
 
 scipy_qmc = pytest.importorskip("scipy.stats", reason="scipy is the Sobol cross-check")
 
 SMALL = evaluation.GridSpec(n_re=24, n_rough=18)
+
+# the benchmark sweep's 24 specs: the 18 registry schemes plus
+# eq4a/eq5a/eq6a with each rational sine
+SWEEP_SPECS = [schemes.get_scheme(sid) for sid in schemes.scheme_ids()] + [
+    schemes.variant(sid, kernel) for sid in ("eq4a", "eq5a", "eq6a") for kernel in ("pade", "quintic")
+]
 
 SOBOL_FIRST_8 = [
     (0.0, 0.0), (0.5, 0.5), (0.75, 0.25), (0.25, 0.75),
@@ -181,12 +187,7 @@ class TestStats:
         assert st.argmax_re == 1e5
 
     def test_equal_to_fsum_and_sort_formulas_on_every_sweep_variant(self):
-        # the 18 registry schemes plus eq4a/eq5a/eq6a with each rational sine
-        specs = [schemes.get_scheme(sid) for sid in schemes.scheme_ids()]
-        for sid in ("eq4a", "eq5a", "eq6a"):
-            for kernel in ("pade", "quintic"):
-                specs.append(schemes.variant(sid, sin_strategy=kernel))
-        res = evaluation.scan_many(specs, grid=evaluation.GridSpec(n_re=120, n_rough=120))
+        res = evaluation.scan_many(SWEEP_SPECS, grid=evaluation.GridSpec(n_re=120, n_rough=120))
         assert len(res) == 24
         for sid, (em, st) in res.items():
             err = em.rel_err_pct
@@ -401,28 +402,23 @@ class TestScan:
         bounds = [0, 61, 123, 185, 246, 308, 370, 432]
         assert taken == [list(zip(bounds[:-1], bounds[1:]))] * 3
 
-    # shared prefixes beside specs that must not share: another step form,
-    # constants mode, log strategy or sine strategy
-    PREFIX_SPECS = [
-        "eq2", "eq2a1", "eq2a2", "eq2a2-pade", "eq2a1-t", "eq2a2-t",
-        schemes.variant("eq2a2-t", constants="exact"), "eq6", "eq6a", "eq6a-t",
-        schemes.variant("eq6", "pade"), schemes.variant("eq6a", "pade"),
-        schemes.variant("eq6a", "quintic"),
+    # the sweep's shared prefixes beside specs that must not share them:
+    # another constants mode, a kernel sine on a bare starter
+    PREFIX_SPECS = SWEEP_SPECS + [
+        schemes.variant("eq2a2-t", constants="exact"), schemes.variant("eq6", "pade"),
     ]
 
     def test_each_shared_prefix_is_computed_once_per_block(self, monkeypatch):
         """One block of the sweep's specs computes each starter with its
         sine strategy once, and each acceleration step once per prefix."""
-        specs = list(schemes.scheme_ids()) + [
-            schemes.variant(sid, kernel)
-            for sid in ("eq4a", "eq5a", "eq6a") for kernel in ("pade", "quintic")
-        ]
+        specs = SWEEP_SPECS
         calls = Counter()
 
         def counted(name, fn):
             def count(*args, **kwargs):
                 sin = kwargs.get("sin")
-                calls[name, None if sin is None else sin is np.sin] += 1
+                # True for the exact sine, which the block wraps to share it
+                calls[name, None if sin is None else sin not in kernels.SIN_KERNELS.values()] += 1
                 return fn(*args, **kwargs)
             return count
 
@@ -443,7 +439,101 @@ class TestScan:
             # eq2a1-t and eq2a2-t's first step are one; then eq3a-t to eq6a-t
             ("theta_raw", None): 2 + 4,
         }
-        assert list(res) == [schemes.get_scheme(s).id for s in specs]
+        assert list(res) == [s.id for s in specs]
+
+    def test_one_exact_sine_per_sine_starter_per_block(self, monkeypatch):
+        # every sine strategy of a starter takes its exact sine from the
+        # one call of the exact prefix
+        calls, sin = [], np.sin
+
+        def counted(arg, *args, **kwargs):
+            calls.append(np.size(arg))
+            return sin(arg, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sin", counted)
+        monkeypatch.setattr(evaluation, "_SCAN_BLOCK", 64)
+        evaluation.scan_many(SWEEP_SPECS, grid=SMALL)
+        # SMALL's 432 points in 7 blocks, each with the eq4, eq5 and eq6 sines
+        assert len(calls) == 3 * 7
+        assert sum(calls) == 3 * SMALL.size
+
+    # kernel specs with no exact twin among them, on meshes where the sine
+    # arguments of eq4 to eq6 lie partly, wholly and nowhere in the window
+    KERNEL_ONLY = [
+        schemes.variant(sid, kernel) for sid, kernel in (
+            ("eq6a", "pade"), ("eq6a", "quintic"), ("eq4a-t", "quintic"), ("eq5", "pade"),
+            ("eq5a", "quintic"),
+        )
+    ]
+    WINDOW_GRIDS = {
+        "some": evaluation.GridSpec(n_re=23, n_rough=7),
+        "all": evaluation.GridSpec(re_min=1e5, re_max=2e5, rough_min=1e-4, rough_max=1.5e-4,
+                                   n_re=9, n_rough=5),
+        "none": evaluation.GridSpec(re_min=1e7, re_max=1e8, rough_min=1e-3, rough_max=1e-2,
+                                    n_re=9, n_rough=5),
+    }
+
+    @staticmethod
+    def _kernel_everywhere(spec, re, rel_rough):
+        """The spec's recipe with its kernel sine on every point, then
+        with the exact sine where the argument leaves the window, and the
+        count of those points."""
+        args = []
+
+        def kernel(arg):
+            args.append(arg)
+            return kernels.SIN_KERNELS[spec.sin_strategy](arg)
+
+        x_kernel = schemes._recipe(spec, re, rel_rough, kernel)
+        x_exact = schemes._recipe(spec, re, rel_rough, np.sin)
+        inside = kernels.in_sin_window(args[0])
+        return np.where(inside, x_kernel, x_exact), inside.size - np.count_nonzero(inside)
+
+    @pytest.mark.parametrize("window", list(WINDOW_GRIDS))
+    @pytest.mark.parametrize("block", [7, evaluation._SCAN_BLOCK])
+    def test_kernel_specs_alone_equal_evaluation(self, window, block, monkeypatch):
+        g = self.WINDOW_GRIDS[window]
+        monkeypatch.setattr(evaluation, "_SCAN_BLOCK", block)
+        res = evaluation.scan_many(self.KERNEL_ONLY, grid=g, workers=2)
+        for spec in self.KERNEL_ONLY:
+            em, st = res[spec.id]
+            x, fallbacks = schemes.evaluate_scheme_raw(spec, em.re, em.rel_rough)
+            x_ref, outside = self._kernel_everywhere(spec, em.re, em.rel_rough)
+            assert x.tobytes() == x_ref.tobytes(), spec.id
+            assert em.lambda_approx.tobytes() == np.power(x, -2.0).tobytes(), spec.id
+            assert em.sine_fallbacks == fallbacks == outside, spec.id
+            assert st == evaluation.stats_of(em)
+            if window == "all":
+                assert outside == 0
+            elif window == "none":
+                assert outside == g.size
+            else:
+                assert 0 < outside < g.size
+
+    def test_sweep_maps_take_neither_fallback(self, monkeypatch):
+        # on the default mesh each block's one-level enclosure decides the
+        # rounding of every sweep map's sum, and the preselected errors
+        # hold every map's p99
+        sums, partitions = [], []
+        sum_units, partition = evaluation._sum_units, np.partition
+
+        def counted_sum(*args):
+            sums.append(args)
+            return sum_units(*args)
+
+        def counted_partition(a, *args, **kwargs):
+            partitions.append(np.size(a))
+            return partition(a, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "_sum_units", counted_sum)
+        monkeypatch.setattr(np, "partition", counted_partition)
+        res = evaluation.scan_many(SWEEP_SPECS, grid=evaluation.DEFAULT_GRID)
+        assert sums == []
+        assert len(partitions) == 2 * len(SWEEP_SPECS)
+        assert max(partitions) < evaluation.DEFAULT_GRID.size / 10
+        monkeypatch.undo()
+        for sid, (em, st) in res.items():
+            assert st == evaluation.stats_of(em), sid
 
     @pytest.mark.parametrize("block", [3, 7, evaluation._SCAN_BLOCK])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -451,9 +541,9 @@ class TestScan:
         g = evaluation.GridSpec(n_re=23, n_rough=7)
         monkeypatch.setattr(evaluation, "_SCAN_BLOCK", block)
         res = evaluation.scan_many(self.PREFIX_SPECS, grid=g, workers=workers)
-        assert list(res) == [schemes.get_scheme(s).id for s in self.PREFIX_SPECS]
+        assert list(res) == [s.id for s in self.PREFIX_SPECS]
         for spec in self.PREFIX_SPECS:
-            em, st = res[schemes.get_scheme(spec).id]
+            em, st = res[spec.id]
             x, fallbacks = schemes.evaluate_scheme_raw(spec, em.re, em.rel_rough)
             lam = np.power(x, -2.0)
             err = core.relative_error_pct_raw(em.lambda_ref, lam)

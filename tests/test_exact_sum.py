@@ -174,3 +174,71 @@ def test_accepts_any_layout():
     x = np.arange(12.0).reshape(3, 4) * 0.1
     assert evaluation.exact_sum(x.T) == math.fsum(x.ravel().tolist())
     assert evaluation.exact_sum([0.1, 0.2, 0.3]) == math.fsum([0.1, 0.2, 0.3])
+
+
+def _map_of(values):
+    """An error map of the values, at distinct coordinates."""
+    x = np.asarray(values, dtype=float)
+    n = x.size
+    lam = np.full(n, 0.02)
+    return evaluation.ErrorMap(None, np.arange(1.0, n + 1), np.full(n, 1e-4), lam, lam, x)
+
+
+def _units_of(values):
+    """The exact sum of the finite values, in units of 2**-1074."""
+    finite = [v for v in values if math.isfinite(v)]
+    total = sum(map(Fraction, finite), Fraction(0)) * 2**1074
+    assert total.denominator == 1
+    return total.numerator
+
+
+@settings(max_examples=400, deadline=None)
+@given(_split())
+@example(([TINY, -TINY, SMALLEST_NORMAL, -0.0], [1, 1, 3]))
+@example(([1e16, 1.0, -1e16, math.inf], [1, 2]))
+@example(([1.0, 2.0**-54, 2.0**-54], []))  # a rounding midpoint
+@example(([2.0**1020, 1.0, -2.0**1020], [2]))  # sigma past the float range
+def test_enclosures_of_pieces_give_the_sum(case):
+    # a scan encloses each block's sum with one extraction level, adds the
+    # enclosures and rounds the map's sum from them, or exactly when their
+    # ends round apart
+    xs, cuts = case
+    x = np.array(xs)
+    units = radius = 0
+    nonfinite = False
+    for piece in np.split(x, cuts):
+        piece_units, piece_radius, piece_nonfinite = evaluation._one_level_sum(
+            piece, np.max(np.abs(piece), initial=0.0))
+        assert abs(_units_of(piece.tolist()) - piece_units) <= piece_radius
+        units += piece_units
+        radius += piece_radius
+        nonfinite |= piece_nonfinite
+    assert nonfinite == (not np.isfinite(x).all())
+    em = _map_of(x)
+    got = _sum_outcome(
+        lambda: evaluation._finish_stats(em, units, radius, nonfinite, float(x.max())).mean_pct)
+    assert got == _sum_outcome(lambda: math.fsum(xs) / len(xs))
+
+
+@pytest.mark.parametrize("tail, want", [
+    ([], 1.0),  # the midpoint 1 + 2**-53 rounds to even
+    ([2.0**-100], 1.0 + 2.0**-52),  # just above it rounds up
+])
+def test_an_enclosure_holding_a_rounding_boundary_is_summed_exactly(tail, want, monkeypatch):
+    x = np.zeros(1000)  # padded with zeros
+    x[:3 + len(tail)] = [1.0, 2.0**-54, 2.0**-54, *tail]
+    units, radius, nonfinite = evaluation._one_level_sum(x, 1.0)
+    assert radius > 0
+    calls, sum_units = [], evaluation._sum_units
+
+    def counted(*args):
+        calls.append(args)
+        return sum_units(*args)
+
+    monkeypatch.setattr(evaluation, "_sum_units", counted)
+    st = evaluation._finish_stats(_map_of(x), units, radius, nonfinite, 1.0)
+    assert len(calls) == 1
+    assert math.fsum(x.tolist()) == want
+    assert st.mean_pct == want / x.size
+    monkeypatch.undo()
+    assert st == evaluation.stats_of(_map_of(x))

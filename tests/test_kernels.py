@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from colebrook import core, kernels, schemes
+from colebrook import core, evaluation, kernels, schemes
 
 # [3/3] rational values at simple arguments reduce to exact fractions
 PADE_LN_2 = 131.0 / 189.0
@@ -139,3 +139,14 @@ class TestOneLogSecondIteration:
         x2, _ = kernels.one_log_second_iteration_raw(res, rough, x0)
         s0, _ = kernels.one_log_second_iteration_raw(1e5, 1e-4, float(x0[0]))
         assert float(x2[0]) == float(s0)
+
+    def test_given_first_step_gives_the_same_bits(self):
+        # the first direct step from x0 rounds as the kernel's own, and
+        # -x1/2 is its log10(y1) exactly
+        re, rough = evaluation.sobol_2d(4096, bounds=evaluation.DEFAULT_GRID, mapping="log").T
+        x0 = core.starter_eq2_raw(re, rough)
+        x1 = core.colebrook_rhs_raw(re, rough, x0)
+        own = kernels.one_log_second_iteration_raw(re, rough, x0)
+        given = kernels.one_log_second_iteration_raw(re, rough, x0, x1)
+        for a, b in zip(own, given):
+            assert a.tobytes() == b.tobytes()

@@ -349,6 +349,24 @@ class TestEvaluateScheme:
         assert taken == logged
         assert x.tobytes() == x_plain.tobytes()
 
+    def test_one_log_scheme_takes_the_first_step_from_the_memo(self, monkeypatch):
+        # beside eq2a1, whose step eq2a2-pade's first step is, the one-log
+        # scheme takes no log of its own
+        re, rel_rough = np.array([1e4, 1e6, 1e8]), np.array([1e-5, 1e-3, 0.05])
+        specs = [schemes.get_scheme(sid) for sid in ("eq2a1", "eq2a2-pade")]
+        alone = [schemes.evaluate_scheme_raw(spec, re, rel_rough)[0] for spec in specs]
+        taken, log10 = [], np.log10
+
+        def counted(arg, *args, **kwargs):
+            taken.append(arg)
+            return log10(arg, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log10", counted)
+        together = {k: x for k, x, _ in schemes._evaluate_block(specs, re, rel_rough)}
+        assert len(taken) == 1
+        for k, x in enumerate(alone):
+            assert together[k].tobytes() == x.tobytes()
+
     @pytest.mark.parametrize("spec", SWEEP_VARIANTS, ids=lambda spec: spec.id)
     def test_scalar_equals_raw_bit_for_bit(self, spec):
         # log-mapped Sobol points over the default box plus its corners;
