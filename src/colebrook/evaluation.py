@@ -13,16 +13,17 @@ together through ``schemes._evaluate_block``. Every point's computation
 is independent and the reduction is associativity-safe, so results are
 identical for any block size and worker count. The mean error is the
 correctly rounded sum of the map divided by its size, the value
-``math.fsum`` gives. ``stats_of`` and ``exact_sum`` sum a whole array
-exactly by error-free extraction (``_sum_units``). A scan encloses each
-block's sum while its errors are in cache, from the first extraction
-level and a float sum of its remainders with an any-order error bound
-(``_one_level_sum``), and adds the enclosures as integer counts of
-2**-1074; each map's stats are then finished on the same pool, one task
-per scheme. A map's sum is rounded from its enclosure when both ends
-round alike, else summed exactly; the p99 partitions only the errors
-at or above a threshold preselected from a sample, when enough lie
-there, else the whole map.
+``math.fsum`` gives. The sum is enclosed from one level of error-free
+extraction and a float sum of its remainders with an any-order error
+bound (``_one_level_sum``): a scan encloses each block's sum while its
+errors are in cache and adds the enclosures as integer counts of
+2**-1074, ``stats_of`` encloses the whole map at once. Both finish
+through ``_finish_stats``, in a scan on the same pool, one task per
+scheme: the sum is rounded from its enclosure when both ends round
+alike, else, or without a certificate (an inf error, or errors near
+the top of the float range), taken from ``math.fsum``; the p99
+partitions only the errors at or above a threshold preselected from a
+sample, when enough lie there, else the whole map.
 
 CSV export writes each float as ``repr`` does, the shortest decimal
 that reads back to it, but computes the digits for a block of values at
@@ -235,95 +236,32 @@ class ErrorStats:
     p99_pct: float
 
 
-def _sum_units(flat, top=None):
-    """Exact sum of the finite values of a flat float64 array, as an
-    integer count of 2**-1074, and whether it holds inf or nan; ``top``
-    is max|flat| (nan if any entry is nan) when the caller has it.
-
-    Error-free extraction (Rump, Ogita and Oishi 2008, ExtractVector):
-    with sigma = 2**k at least 2**guard times every |r|, q = (r + sigma)
-    - sigma is r rounded to a multiple of 2**(k-53), exactly, and r - q
-    is exact. The n terms q add exactly in any order, as every partial
-    sum is on that grid below sigma. Each level leaves remainders below
-    2**(k-53) and the loop ends when they are zero. A sigma past the
-    float range is applied to r scaled by 2**-t; entries too small to
-    scale exactly give q = 0 and keep their unscaled remainder.
-    """
-    r = flat
-    if top is None:
-        top = np.max(np.abs(r), initial=0.0)
-    nonfinite = not math.isfinite(top)
-    if nonfinite:
-        r = r[np.isfinite(r)]
-        top = np.max(np.abs(r), initial=0.0)
-    guard = (r.size + 1).bit_length()
-    units = 0
-    while top:
-        k = math.frexp(top)[1] + guard
-        t = max(k - 1023, 0)
-        rs = np.ldexp(r, -t) if t else r
-        sigma = 2.0 ** (k - t)
-        q = rs + sigma
-        q -= sigma
-        num, den = float(q.sum()).as_integer_ratio()
-        units += (num << 1074 + t) // den
-        rest = rs - q
-        r = np.where(q != 0, np.ldexp(rest, t), r) if t else rest
-        top = np.abs(r).max()
-    return units, nonfinite
-
-
-def _round_units(units, nonfinite, values):
-    """The correctly rounded sum of ``values``, from the exact sum of its
-    finite entries in units of 2**-1074 and whether it holds inf or nan."""
-    # integer true division is correctly rounded, and raises
-    # OverflowError past the float range
-    total = units / (1 << 1074)
-    if nonfinite:
-        total = math.fsum(values[~np.isfinite(values)].tolist() + [total])
-    return total
-
-
-def exact_sum(values) -> float:
-    """Correctly rounded sum of a float64 array with whole-array numpy
-    operations; equal to ``math.fsum(values.tolist())`` bit for bit.
-
-    inf and nan entries go through ``math.fsum`` with the finite total,
-    so an inf sum, a nan sum and the ``ValueError`` for inf + -inf are as
-    there. A finite sum that overflows raises ``OverflowError``. fsum
-    also raises when a running partial sum overflows; this checks only
-    the total, so a mixed-sign input whose total is finite returns it.
-    """
-    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    return _round_units(*_sum_units(flat), flat)
-
-
 def _one_level_sum(r, top):
-    """A certified enclosure of the exact sum of the finite values of a
-    flat float64 array, from one extraction level of ``_sum_units``:
-    (units, radius, nonfinite), where the sum lies within ``radius`` of
-    ``units``, both integer counts of 2**-1074, and nonfinite tells
-    whether ``r`` holds inf or nan. ``top`` is max|r| (nan if an entry is
-    nan).
+    """A certified enclosure of the exact sum of a flat float64 array,
+    from one level of error-free extraction: (units, radius), where the
+    sum lies within ``radius`` of ``units``, both integer counts of
+    2**-1074. ``top`` is max|r| (nan if an entry is nan). The radius is
+    None, no certificate, when ``r`` holds inf or nan or when the
+    splitting constant would pass the float range.
 
-    The level's terms q, the entries rounded to multiples of 2**(k-53)
-    under sigma = 2**k, add exactly to U; the n remainders, each at most
-    2**(k-53) in magnitude, are summed in floating point to T, in
+    With sigma = 2**k at least 2**bit_length(n + 1) times every |r|,
+    q = (r + sigma) - sigma is r rounded to a multiple of 2**(k-53),
+    exactly, and r - q is exact (Rump, Ogita and Oishi 2008,
+    ExtractVector). The n terms q add exactly to U in any order, as
+    every partial sum is on that grid below sigma; the n remainders, each
+    at most 2**(k-53) in magnitude, are summed in floating point to T, in
     whatever order numpy takes. Any order errs by at most
     gamma(n-1) * sum|rest| <= gamma(n-1) * n * 2**(k-53) = B, with
     gamma(m) = m*u / (1 - m*u) and u = 2**-53 (N. J. Higham, "Accuracy and
     Stability of Numerical Algorithms", 2nd ed., 2002, section 4.2), so
-    the sum lies within B, rounded up, of U + T. A sigma past the float
-    range takes the exact sum instead, with radius 0.
+    the sum lies within B, rounded up, of U + T.
     """
-    nonfinite = not math.isfinite(top)
-    if nonfinite:
-        r = r[np.isfinite(r)]
-        top = np.max(np.abs(r), initial=0.0)
     n = r.size
     k = math.frexp(top)[1] + (n + 1).bit_length()
-    if not top or k > 1023:
-        return _sum_units(r, top)[0], 0, nonfinite
+    if not math.isfinite(top) or k > 1023:
+        return 0, None
+    if not top:
+        return 0, 0
     sigma = 2.0 ** k
     q = r + sigma
     q -= sigma
@@ -334,7 +272,7 @@ def _one_level_sum(r, top):
     e = k + 1021
     num = (n - 1) * n << max(e, 0)
     den = ((1 << 53) - (n - 1)) << max(-e, 0)
-    return units, -(-num // den), nonfinite
+    return units, -(-num // den)
 
 
 def _float_units(x):
@@ -343,12 +281,18 @@ def _float_units(x):
     return (num << 1074) // den
 
 
-def _rounds_alike(lo, hi):
-    """Whether sums of lo and hi units of 2**-1074 round to one double."""
+def _rounded(units, radius):
+    """The double to which every sum within ``radius`` of ``units`` rounds,
+    both integer counts of 2**-1074, or None if they round apart, pass
+    the float range or have no certificate (radius None)."""
+    if radius is None:
+        return None
     try:
-        return lo / (1 << 1074) == hi / (1 << 1074)
+        # integer true division is correctly rounded
+        lo, hi = ((units + d) / (1 << 1074) for d in (-radius, radius))
     except OverflowError:
-        return False
+        return None
+    return lo if lo == hi else None
 
 
 # strided sample of each map from which the 99th-percentile preselection
@@ -378,14 +322,15 @@ def _nearest_rank(err, rank):
     return np.partition(err, rank - 1)[rank - 1]
 
 
-def _finish_stats(errmap, units, radius, nonfinite, max_pct):
+def _finish_stats(errmap, units, radius, max_pct):
     """``stats_of`` of a non-empty map, given an enclosure of the exact
-    sum of its finite errors, which lies within ``radius`` of ``units``
-    (both in units of 2**-1074), whether an error is inf or nan, and its
-    largest error (nan if any error is nan).
+    sum of its errors as ``_one_level_sum`` gives it, within ``radius``
+    of ``units`` (both in units of 2**-1074) or without a certificate
+    (radius None), and its largest error (nan if any error is nan).
 
     When the enclosure's ends round to one double, that double is the
-    correctly rounded sum; otherwise the map is summed exactly.
+    correctly rounded sum; otherwise, or without a certificate, the sum
+    is ``math.fsum``'s over the map.
     """
     err = errmap.rel_err_pct
     n = err.size
@@ -397,9 +342,10 @@ def _finish_stats(errmap, units, radius, nonfinite, max_pct):
     flat = np.ascontiguousarray(err, dtype=np.float64).reshape(-1)
     ties = np.flatnonzero(flat == max_pct)
     i = int(ties[np.lexsort((errmap.rel_rough[ties], errmap.re[ties]))[0]])
-    if radius and not _rounds_alike(units - radius, units + radius):
-        units = _sum_units(flat)[0]
-    mean_pct = _round_units(units, nonfinite, flat) / n
+    total = _rounded(units, radius)
+    if total is None:
+        total = math.fsum(flat.tolist())
+    mean_pct = total / n
     rank = max(1, math.ceil(0.99 * n))  # nearest-rank definition
     return ErrorStats(
         max_pct=max_pct,
@@ -416,7 +362,9 @@ def stats_of(errmap: ErrorMap) -> ErrorStats:
 
     The mean is the correctly rounded sum of the errors divided by the
     point count, the same value as ``math.fsum`` over the errors divided
-    by the count. An inf error gives inf max and mean.
+    by the count. The map's sum is enclosed at once by
+    ``_one_level_sum`` and finished by ``_finish_stats``, as a scan's
+    block enclosures are. An inf error gives inf max and mean.
 
     Raises:
         ConfigError: the map is empty or holds NaN errors.
@@ -424,8 +372,8 @@ def stats_of(errmap: ErrorMap) -> ErrorStats:
     err = errmap.rel_err_pct
     if err.size == 0:
         raise ConfigError("cannot summarize an empty map")
-    units, nonfinite = _sum_units(np.ascontiguousarray(err, dtype=np.float64).reshape(-1))
-    return _finish_stats(errmap, units, 0, nonfinite, float(err.max()))
+    flat = np.ascontiguousarray(err, dtype=np.float64).reshape(-1)
+    return _finish_stats(errmap, *_one_level_sum(flat, np.abs(flat).max()), float(flat.max()))
 
 
 # points per block of scan_many's pass over the mesh: 512 KiB per float64
@@ -441,10 +389,10 @@ def _scan_block(spec_list, re_c, rough_c, lam_ref_c, outs_c):
     oracle runs.
 
     Returns:
-        one (sine_fallbacks, units, radius, nonfinite, max) tuple per
-        spec: the finite errors' sum enclosed by ``_one_level_sum``,
-        whether an error is inf or nan, and the largest error (nan if
-        one is nan).
+        one (sine_fallbacks, units, radius, max) tuple per spec: the
+        errors' sum enclosed by ``_one_level_sum``, radius None if the
+        enclosure has no certificate, and the largest error (nan if one
+        is nan).
     """
     results = schemes._evaluate_block(spec_list, re_c, rough_c)
     x0 = core.oracle_start_raw(re_c, rough_c)
@@ -486,7 +434,7 @@ def scan_many(scheme_ids, grid=None, workers=1):
     points, whatever the worker count, and a pool of ``min(workers,
     blocks)`` threads fills them, one ``_scan_block`` task per block; a
     failure is reported from the first failing block in mesh order. The
-    blocks' sum enclosures, flags and maxima reduce per scheme, and the
+    blocks' sum enclosures and maxima reduce per scheme, and the
     same pool finishes the stats, one task per scheme, as ``stats_of``
     does.
     Every point is computed alone, so maps, stats and sine-fallback
@@ -533,15 +481,16 @@ def scan_many(scheme_ids, grid=None, workers=1):
     with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
         per_spec = zip(*pool.map(block, bounds[:-1], bounds[1:]))
         # each a tuple over the specs of a tuple over the blocks
-        counts, units, radii, nonfinite, tops = zip(*(zip(*recs) for recs in per_spec))
+        counts, units, radii, tops = zip(*(zip(*recs) for recs in per_spec))
         errmaps = [
             ErrorMap(grid, re_flat, rough_flat, lam_ref, *rows, sine_fallbacks=sum(nfb))
             for rows, nfb in zip(outs, counts)
         ]
-        # max propagates nan, which the finishing check reports
+        # a block without a certificate leaves its map without one; max
+        # propagates nan, which the finishing check reports
+        map_radii = [None if None in r else sum(r) for r in radii]
         stats = pool.map(
-            _finish_stats, errmaps, map(sum, units), map(sum, radii), map(any, nonfinite),
-            np.max(tops, axis=1).tolist(),
+            _finish_stats, errmaps, map(sum, units), map_radii, np.max(tops, axis=1).tolist()
         )
         return {spec.id: (em, st) for spec, em, st in zip(spec_list, errmaps, stats)}
 

@@ -515,25 +515,26 @@ class TestScan:
         # rounding of every sweep map's sum, and the preselected errors
         # hold every map's p99
         sums, partitions = [], []
-        sum_units, partition = evaluation._sum_units, np.partition
+        fsum, partition = math.fsum, np.partition
 
         def counted_sum(*args):
             sums.append(args)
-            return sum_units(*args)
+            return fsum(*args)
 
         def counted_partition(a, *args, **kwargs):
             partitions.append(np.size(a))
             return partition(a, *args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "_sum_units", counted_sum)
+        monkeypatch.setattr(math, "fsum", counted_sum)
         monkeypatch.setattr(np, "partition", counted_partition)
         res = evaluation.scan_many(SWEEP_SPECS, grid=evaluation.DEFAULT_GRID)
         assert sums == []
         assert len(partitions) == 2 * len(SWEEP_SPECS)
         assert max(partitions) < evaluation.DEFAULT_GRID.size / 10
-        monkeypatch.undo()
+        # the enclosure of each whole map decides its rounding as well
         for sid, (em, st) in res.items():
             assert st == evaluation.stats_of(em), sid
+        assert sums == []
 
     @pytest.mark.parametrize("block", [3, 7, evaluation._SCAN_BLOCK])
     @pytest.mark.parametrize("workers", [1, 2])
