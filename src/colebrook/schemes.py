@@ -29,13 +29,17 @@ computes each shared starter and step once through one memo, and its
 exact prefixes call ``np.sin`` once, in the starter. ``eq2a2-pade``
 takes its first step from the memo when ``eq2a1`` put it there. A kernel
 sine equals the exact sine outside its window, so there a kernel-sine
-scheme is its exact prefix, bit for bit: the group computes that prefix
-(if no exact scheme asked for it, then for the kernel scheme alone), and
-runs each kernel strategy's recipe, through a memo of its own, on the
-points whose sine argument lies inside the window only; the others are
-its sine fallbacks. (a, b) are computed once per block when two or more
-recipes take them (a kernel-sine scheme runs two), else by the one
-recipe, which takes only the logs it uses. Each starter's memos are
+scheme is its exact prefix, bit for bit. When the starter's schemes take
+two or more sine strategies, the group computes that prefix once (if no
+exact scheme asked for it, then for the kernel schemes alone), and runs
+each kernel strategy's recipe, through a memo of its own, on the points
+whose sine argument lies inside the window only; the others are its
+sine fallbacks. When a kernel is the starter's only strategy, its recipe
+runs once over the block, with a sine that takes the kernel inside the
+window and ``np.sin`` at the fallbacks, as ``_point_sine`` does per
+element. (a, b) are computed once per block when two or more recipes
+take them (a kernel-sine scheme of the first kind runs two), else by the
+one recipe, which takes only the logs it uses. Each starter's memos are
 released before the next starter's group runs.
 """
 
@@ -98,6 +102,22 @@ def _point_sine(kernel):
 
 
 _POINT_SINES = {"exact": sin, **{k: _point_sine(fn) for k, fn in kernels.SIN_KERNELS.items()}}
+
+
+def _block_sine(kernel, fallbacks):
+    """The array sine of ``_point_sine``: the kernel at the arguments
+    inside the window, ``np.sin`` at the others, whose count it appends to
+    ``fallbacks``. Each is taken on its own points only."""
+
+    def sine(arg):
+        arg = np.asarray(arg)
+        inside = kernels.in_sin_window(arg)
+        s = np.sin(arg, out=np.empty_like(arg), where=~inside)
+        s[inside] = kernel(arg[inside])
+        fallbacks.append(s.size - int(np.count_nonzero(inside)))
+        return s
+
+    return sine
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +336,7 @@ def _check_inputs(spec, re_min, re_max, rough_min, rough_max):
         raise DomainError(
             f"{spec.id}: starter {spec.starter} requires a = log10(Re) > 0, got re={re_min}"
         )
-    if spec.transformed and not rough_min > 0.0:
+    if not rough_min > 0.0 and spec.transformed:
         raise DomainError(f"{spec.id}: transformed acceleration undefined for rel_rough = 0")
 
 
@@ -389,14 +409,15 @@ def evaluate_scheme(spec, point: FlowPoint) -> FrictionIterate:
         DomainError: the point fails ``_check_inputs``, or the result is
             not positive and finite.
     """
-    spec = get_scheme(spec)
-    re, rel_rough = float(point.re), float(point.rel_rough)
+    if type(spec) is not SchemeSpec:  # a spec would be hashed by the lookup
+        spec = REGISTRY.get(spec) or get_scheme(spec)
+    re, rel_rough = point.re, point.rel_rough
     _check_inputs(spec, re, re, rel_rough, rel_rough)
     try:
         x = _recipe(spec, re, rel_rough, _POINT_SINES[spec.sin_strategy])
     except ZeroDivisionError:  # an array element gets +-inf, and then a non-finite x
         x = math.nan
-    return FrictionIterate(x, step=spec.accel_steps)
+    return FrictionIterate(x, spec.accel_steps)
 
 
 def _window_points(arg, arrays):
@@ -420,9 +441,11 @@ def _evaluate_block(spec_list, re, rel_rough):
         starters.setdefault(spec.starter, {}).setdefault(spec.sin_strategy, []).append(k)
 
     def run():
-        # a kernel spec takes (a, b) twice: on the block and on its window
+        # a kernel spec beside another sine strategy takes (a, b) twice: on
+        # the block and on its window
         takers = sum(
-            (_STARTERS[s.starter].normalized or s.transformed) * (1 + (s.sin_strategy != "exact"))
+            (_STARTERS[s.starter].normalized or s.transformed)
+            * (1 + (s.sin_strategy != "exact" and len(starters[s.starter]) > 1))
             for s in spec_list
         )
         ab = (np.log10(re), -np.log10(rel_rough)) if takers > 1 else None
@@ -437,6 +460,15 @@ def _evaluate_block(spec_list, re, rel_rough):
 
             for strategy, group in strategies.items():
                 kernel_memo = {}
+                if strategy != "exact" and len(strategies) == 1:
+                    # no exact prefix to share: one pass over the block; the
+                    # memo's starter holds the one sine of the group
+                    fallbacks = []
+                    sine = _block_sine(kernels.SIN_KERNELS[strategy], fallbacks)
+                    for k in group:
+                        x = _recipe(spec_list[k], re, rel_rough, sine, ab, kernel_memo)
+                        yield k, x, fallbacks[0]
+                    continue
                 for k in group:
                     spec = spec_list[k]
                     # outside the window a kernel spec is its exact prefix

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -74,6 +76,104 @@ class TestFlowPoint:
         p = core.FlowPoint(1e5, 1e-4)
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.re = 2e5
+
+    def test_stores_floats(self):
+        for re, rough in [(100000, 0), (np.float64(1e5), np.float64(1e-4)), (2000, 1)]:
+            p = core.FlowPoint(re, rough, out_of_domain_ok=True)
+            assert type(p.re) is float and type(p.rel_rough) is float
+            assert (p.re, p.rel_rough) == (re, rough)
+
+    def test_replace_runs_the_checks(self):
+        p = core.FlowPoint(1e5, 1e-4)
+        with pytest.raises(core.DomainError, match="outside the validated domain"):
+            dataclasses.replace(p, re=2000.0)
+        q = dataclasses.replace(p, re=2000.0, out_of_domain_ok=True)
+        assert (q.re, q.rel_rough, q.out_of_domain_ok) == (2000.0, 1e-4, True)
+        with pytest.raises(core.DomainError, match="rel_rough must be non-negative"):
+            dataclasses.replace(q, rel_rough=-1.0)
+
+
+# one instance of each frozen result type, as a solve builds them
+_RESULTS = (
+    core.FlowPoint(1e5, 1e-4),
+    core.FrictionIterate(5.0, 2),
+    core.solve_colebrook_exact(core.FlowPoint(1e5, 1e-4)),
+)
+
+
+class TestResultTypes:
+    """The dataclass contracts of FlowPoint, FrictionIterate and SolveReport."""
+
+    @pytest.mark.parametrize("obj", _RESULTS, ids=lambda obj: type(obj).__name__)
+    def test_every_field_is_frozen(self, obj):
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, f.name)
+        with pytest.raises((AttributeError, TypeError)):
+            obj.extra = 1
+
+    @pytest.mark.parametrize("obj", _RESULTS, ids=lambda obj: type(obj).__name__)
+    def test_pickle_round_trip(self, obj):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and type(back) is type(obj)
+        assert repr(back) == repr(obj)
+
+    def test_fields(self):
+        def layout(cls):
+            return [(f.name, f.default, f.compare) for f in dataclasses.fields(cls)]
+
+        missing = dataclasses.MISSING
+        assert layout(core.FlowPoint) == [
+            ("re", missing, True), ("rel_rough", 0.0, True), ("out_of_domain_ok", False, False),
+        ]
+        assert layout(core.FrictionIterate) == [("x", missing, True), ("step", 0, True)]
+        assert layout(core.SolveReport) == [
+            ("iterate", missing, True), ("iterations", missing, True), ("residual", missing, True),
+        ]
+
+    def test_repr(self):
+        p, it, rep = _RESULTS
+        assert repr(p) == "FlowPoint(re=100000.0, rel_rough=0.0001, out_of_domain_ok=False)"
+        assert repr(it) == "FrictionIterate(x=5.0, step=2)"
+        assert repr(rep) == (
+            f"SolveReport(iterate=FrictionIterate(x={rep.iterate.x!r}, step={rep.iterations}), "
+            f"iterations={rep.iterations}, residual={rep.residual!r})"
+        )
+
+    def test_eq_and_hash(self):
+        p = core.FlowPoint(1e5, 1e-4)
+        # out_of_domain_ok is not compared
+        q = core.FlowPoint(1e5, 1e-4, out_of_domain_ok=True)
+        assert p == q and hash(p) == hash(q)
+        assert p != core.FlowPoint(1e5, 2e-4)
+        assert core.FrictionIterate(5.0, 2) == core.FrictionIterate(5.0, step=2)
+        assert core.FrictionIterate(5.0, 2) != core.FrictionIterate(5.0, 1)
+        assert hash(core.FrictionIterate(5.0, 2)) == hash(core.FrictionIterate(x=5.0, step=2))
+        rep = _RESULTS[2]
+        same = core.SolveReport(core.FrictionIterate(rep.iterate.x, rep.iterations),
+                                rep.iterations, rep.residual)
+        assert same == rep and hash(same) == hash(rep)
+
+    def test_keywords_and_defaults(self):
+        p = core.FlowPoint(re=1e5)
+        assert (p.re, p.rel_rough, p.out_of_domain_ok) == (1e5, 0.0, False)
+        assert core.FrictionIterate(x=5.0).step == 0
+        rep = core.SolveReport(iterate=core.FrictionIterate(5.0), iterations=1, residual=0.0)
+        assert rep.iterate.x == 5.0
+
+    @pytest.mark.parametrize("re", [4000, 100000, 7_000_000])
+    @pytest.mark.parametrize("rough", [0, 1e-4])
+    def test_int_and_numpy_inputs_give_the_float_bits(self, re, rough):
+        ref = core.FlowPoint(float(re), float(rough))
+        rep = core.solve_colebrook_exact(ref)
+        for p in (core.FlowPoint(re, rough), core.FlowPoint(np.float64(re), np.float64(rough))):
+            assert p == ref
+            assert core.solve_colebrook_exact(p) == rep
+            # the smooth limit only for the schemes defined there
+            for sid in ("eq2a2", "eq2a2-pade") if rough == 0 else schemes.scheme_ids():
+                assert schemes.evaluate_scheme(sid, p) == schemes.evaluate_scheme(sid, ref)
 
 
 class TestNormalization:
@@ -285,6 +385,25 @@ class TestSolver:
         lo, _, _, _ = core.solve_colebrook_raw(res[:13], rough[:13], x0[:13])
         hi, _, _, _ = core.solve_colebrook_raw(res[13:], rough[13:], x0[13:])
         assert np.array_equal(full, np.concatenate([lo, hi]))
+
+    def test_scalar_solve_takes_one_log_per_step(self, monkeypatch):
+        # the op-count guard of the one-point oracle: a transcendental call
+        # added to its loop or its set-up fails here
+        calls = Counter()
+
+        def counted(name, fn):
+            def op(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return op
+
+        for name in ("log10", "log", "sin"):
+            monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+        for re, rough in [(1e5, 1e-4), (4000.0, 0.0), (4000.0, 0.05), (1e8, 0.0), (1e8, 0.05),
+                          (2.3e4, 3e-6)]:
+            calls.clear()
+            rep = core.solve_colebrook_exact(core.FlowPoint(re, rough))
+            assert calls == {"log10": rep.iterations}, (re, rough)
 
     def test_oracle_start_uses_starter_in_domain(self):
         assert core.oracle_start_raw(1e5, 1e-4) == core.starter_eq2_raw(1e5, 1e-4)

@@ -462,7 +462,7 @@ class TestScan:
     KERNEL_ONLY = [
         schemes.variant(sid, kernel) for sid, kernel in (
             ("eq6a", "pade"), ("eq6a", "quintic"), ("eq4a-t", "quintic"), ("eq5", "pade"),
-            ("eq5a", "quintic"),
+            ("eq5a", "quintic"), ("eq5a", "pade"),
         )
     ]
     WINDOW_GRIDS = {
@@ -488,6 +488,56 @@ class TestScan:
         x_exact = schemes._recipe(spec, re, rel_rough, np.sin)
         inside = kernels.in_sin_window(args[0])
         return np.where(inside, x_kernel, x_exact), inside.size - np.count_nonzero(inside)
+
+    @pytest.mark.parametrize("spec", KERNEL_ONLY, ids=lambda spec: spec.id)
+    def test_kernel_spec_alone_takes_each_sine_on_its_own_points(self, spec, monkeypatch):
+        # with no exact twin the recipe runs once over the block: the kernel
+        # on the window points only, np.sin on the fallbacks only
+        re, rel_rough = (v.ravel() for v in np.meshgrid(*evaluation.grid_axes(
+            self.WINDOW_GRIDS["some"])))
+        x_ref, outside = self._kernel_everywhere(spec, re, rel_rough)
+        recipes, kernel_points, sin_points = [], [], []
+        recipe, kernel, sin = schemes._recipe, kernels.SIN_KERNELS[spec.sin_strategy], np.sin
+
+        def counted_recipe(*args, **kwargs):
+            recipes.append(args[0].id)
+            return recipe(*args, **kwargs)
+
+        def counted_kernel(arg):
+            kernel_points.append(np.size(arg))
+            return kernel(arg)
+
+        def counted_sin(arg, *args, where=True, **kwargs):
+            sin_points.append(int(np.count_nonzero(np.broadcast_to(where, np.shape(arg)))))
+            return sin(arg, *args, where=where, **kwargs)
+
+        monkeypatch.setattr(schemes, "_recipe", counted_recipe)
+        monkeypatch.setitem(kernels.SIN_KERNELS, spec.sin_strategy, counted_kernel)
+        monkeypatch.setattr(np, "sin", counted_sin)
+        x, fallbacks = schemes.evaluate_scheme_raw(spec, re, rel_rough)
+        assert recipes == [spec.id]
+        assert kernel_points == [re.size - outside] and sin_points == [outside]
+        assert fallbacks == outside
+        assert x.tobytes() == x_ref.tobytes()
+
+    def test_two_kernels_of_a_starter_share_its_exact_prefix(self, monkeypatch):
+        # with no exact twin but two kernel strategies, the exact prefix
+        # and its one np.sin are computed once for both
+        re, rel_rough = (v.ravel() for v in np.meshgrid(*evaluation.grid_axes(
+            self.WINDOW_GRIDS["some"])))
+        specs = [schemes.variant("eq6a", kernel) for kernel in ("pade", "quintic")]
+        alone = [schemes.evaluate_scheme_raw(spec, re, rel_rough) for spec in specs]
+        sin_sizes, sin = [], np.sin
+
+        def counted(arg, *args, **kwargs):
+            sin_sizes.append(np.size(arg))
+            return sin(arg, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sin", counted)
+        together = list(schemes._evaluate_block(specs, re, rel_rough))
+        assert sin_sizes == [re.size]
+        for (k, x, fallbacks), (x_alone, fallbacks_alone) in zip(together, alone):
+            assert x.tobytes() == x_alone.tobytes() and fallbacks == fallbacks_alone, k
 
     @pytest.mark.parametrize("window", list(WINDOW_GRIDS))
     @pytest.mark.parametrize("block", [7, evaluation._SCAN_BLOCK])

@@ -1,5 +1,6 @@
 """Starter formulas, acceleration steps, and the scheme registry."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -366,6 +367,26 @@ class TestEvaluateScheme:
         assert len(taken) == 1
         for k, x in enumerate(alone):
             assert together[k].tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("spec", SWEEP_VARIANTS, ids=lambda spec: spec.id)
+    def test_point_takes_the_profiled_transcendentals(self, spec, monkeypatch):
+        # the op-count guard of evaluate_scheme: at a point whose sine
+        # argument lies inside the kernel window it takes exactly the logs
+        # and sines that cost_profile counts
+        prof = evaluation.cost_profile(spec)
+        calls = Counter()
+
+        def counted(name, fn):
+            def op(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return op
+
+        for name in ("log10", "log", "sin"):
+            monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+        schemes.evaluate_scheme(spec, core.FlowPoint(1e5, 1e-4))
+        assert calls["log10"] + calls["log"] == prof.n_log
+        assert calls["sin"] == prof.n_sin
 
     @pytest.mark.parametrize("spec", SWEEP_VARIANTS, ids=lambda spec: spec.id)
     def test_scalar_equals_raw_bit_for_bit(self, spec):
