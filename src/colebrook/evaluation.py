@@ -8,22 +8,19 @@ included, so a variant (``schemes.variant``) is scanned, counted and
 timed under its own id with no further settings.
 
 Grid scans cut the mesh into even cache-sized blocks, one task each on
-a thread pool. Per block the oracle is solved once and the schemes run
-together through ``schemes._evaluate_block``. Every point's computation
-is independent and the reduction is associativity-safe, so results are
-identical for any block size and worker count. The mean error is the
-correctly rounded sum of the map divided by its size, the value
-``math.fsum`` gives. The sum is enclosed from one level of error-free
-extraction and a float sum of its remainders with an any-order error
-bound (``_one_level_sum``): a scan encloses each block's sum while its
-errors are in cache and adds the enclosures as integer counts of
-2**-1074, ``stats_of`` encloses the whole map at once. Both finish
-through ``_finish_stats``, in a scan on the same pool, one task per
-scheme: the sum is rounded from its enclosure when both ends round
-alike, else, or without a certificate (an inf error, or errors near
-the top of the float range), taken from ``math.fsum``; the p99
-partitions only the errors at or above a threshold preselected from a
-sample, when enough lie there, else the whole map.
+a thread pool; per block the oracle is solved once and the schemes run
+together through ``schemes._evaluate_block``. A scan keeps one lambda
+map per scheme, 8 bytes per point, and an error map is computed from
+the lambda maps on first read. The stats are an exact fold over blocks:
+each block's errors, while in cache, give a record of their sum's
+enclosure (``_one_level_sum``, in integer counts of 2**-1074), their
+largest error at its lexicographically first (re, rough), and their m
+largest, m = n - rank + 1 for the nearest-rank p99. Records reduce as
+the pool yields them, the candidates cut back to m once they pass 2m;
+``stats_of`` folds a map's blocks alike. The mean is rounded once, from
+the enclosure when both its ends round alike, else from ``math.fsum``.
+Every point is computed alone, so results are identical for any block
+size and worker count.
 
 CSV export writes each float as ``repr`` does, the shortest decimal
 that reads back to it, but computes the digits for a block of values at
@@ -35,9 +32,9 @@ Zeros, subnormals, inf and nan go through ``repr`` one at a time.
 import math
 import operator
 import time
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -212,16 +209,34 @@ def sobol_2d(n: int, bounds=None, mapping: str = "uniform"):
 # error maps
 # ---------------------------------------------------------------------------
 
+class _DerivedErrors:
+    """``ErrorMap.rel_err_pct``: the array given, or for None (the default)
+    ``core.relative_error_pct_raw`` of the lambda maps, on first read."""
+
+    def __get__(self, errmap, owner=None):
+        if errmap is None:
+            return None  # the field's default
+        err = errmap.__dict__["rel_err_pct"]
+        if err is None:
+            err = errmap.__dict__["rel_err_pct"] = core.relative_error_pct_raw(
+                errmap.lambda_ref, errmap.lambda_approx)
+        return err
+
+    def __set__(self, errmap, err):
+        errmap.__dict__["rel_err_pct"] = err
+
+
 @dataclass(frozen=True)
 class ErrorMap:
-    """Per-point relative errors over a mesh, rough-major flattened."""
+    """Per-point relative errors over a mesh, rough-major flattened;
+    without ``rel_err_pct``, as a scan builds it, derived on first read."""
 
     grid: GridSpec | None
     re: np.ndarray
     rel_rough: np.ndarray
     lambda_ref: np.ndarray
     lambda_approx: np.ndarray
-    rel_err_pct: np.ndarray
+    rel_err_pct: np.ndarray | None = _DerivedErrors()
     sine_fallbacks: int = 0
 
 
@@ -295,65 +310,64 @@ def _rounded(units, radius):
     return lo if lo == hi else None
 
 
-# strided sample of each map from which the 99th-percentile preselection
-# threshold is taken
-_P99_SAMPLE = 4096
+def _tail(n):
+    """m = n - rank + 1: the nearest-rank 99th percentile of n is the m-th largest."""
+    return n - max(1, math.ceil(0.99 * n)) + 1
 
 
-def _nearest_rank(err, rank):
-    """The rank-th smallest of a flat float64 array without NaN (rank
-    counted from 1), the value ``np.partition(err, rank - 1)`` puts at
-    rank - 1.
-
-    A threshold is taken from a strided sample, low enough that about
-    twice the m = n - rank + 1 values needed lie at or above it. If at
-    least m errors do, the m-th largest of them is the m-th largest of
-    all, which only those few are partitioned for; otherwise the whole
-    array is.
-    """
-    n = err.size
-    m = n - rank + 1
-    sample = err[::max(1, n // _P99_SAMPLE)]
-    c = min(sample.size, 2 * m * sample.size // n + 8)
-    threshold = np.partition(sample, sample.size - c)[sample.size - c]
-    high = err[err >= threshold]
-    if high.size >= m:
-        return np.partition(high, high.size - m)[high.size - m]
-    return np.partition(err, rank - 1)[rank - 1]
+def _largest(err, m):
+    """A copy of the m largest of a flat float64 array, or of all of it."""
+    k = max(err.size - m, 0)
+    return np.partition(err, k)[k:].copy()
 
 
-def _finish_stats(errmap, units, radius, max_pct):
-    """``stats_of`` of a non-empty map, given an enclosure of the exact
-    sum of its errors as ``_one_level_sum`` gives it, within ``radius``
-    of ``units`` (both in units of 2**-1074) or without a certificate
-    (radius None), and its largest error (nan if any error is nan).
+# the stats of some blocks of a map: their sum's ``_one_level_sum``
+# enclosure; their largest error (nan if one is nan) at its first (re,
+# rough); as p99 candidates, at least the m = ``_tail(n)`` largest errors
+_Fold = namedtuple("_Fold", "units radius top at cand")
 
-    When the enclosure's ends round to one double, that double is the
-    correctly rounded sum; otherwise, or without a certificate, the sum
-    is ``math.fsum``'s over the map.
-    """
-    err = errmap.rel_err_pct
-    n = err.size
-    if math.isnan(max_pct):
+
+def _fold_block(err, re, rough, m, mag=None):
+    """The fold of one block of a map: errors ``err`` at (re, rough),
+    flat, and ``mag`` at least max|err| (nan if an error is nan), by
+    default the largest error, for errors that are not negative."""
+    top = float(err.max())
+    ties = np.flatnonzero(err == top)  # none when top is nan
+    i = ties[np.lexsort((rough[ties], re[ties]))][:1]
+    at = (float(re[i[0]]), float(rough[i[0]])) if i.size else None
+    return _Fold(*_one_level_sum(err, top if mag is None else mag), top, at, _largest(err, m))
+
+
+def _merge(a, b, m):
+    """The fold of two disjoint parts of a map from theirs. The candidates
+    are cut back to the m largest once they pass 2m."""
+    # nan wins, then the larger error, then the first coordinates
+    best = b if math.isnan(b.top) or b.top > a.top or b.top == a.top and b.at < a.at else a
+    cand = np.concatenate((a.cand, b.cand))
+    return _Fold(a.units + b.units, None if None in (a.radius, b.radius) else a.radius + b.radius,
+                 best.top, best.at, _largest(cand, m) if cand.size > 2 * m else cand)
+
+
+def _finish_stats(errmap, n, fold):
+    """The stats of a map of n points from the fold of all its blocks. The
+    sum is the one double both ends of its enclosure round to, else, or
+    without a certificate, ``math.fsum``'s over the map's errors."""
+    if math.isnan(fold.top):
         raise ConfigError(
             f"cannot summarize a map with NaN errors: "
-            f"{np.count_nonzero(np.isnan(err))} of {n} points are NaN"
+            f"{np.count_nonzero(np.isnan(errmap.rel_err_pct))} of {n} points are NaN"
         )
-    flat = np.ascontiguousarray(err, dtype=np.float64).reshape(-1)
-    ties = np.flatnonzero(flat == max_pct)
-    i = int(ties[np.lexsort((errmap.rel_rough[ties], errmap.re[ties]))[0]])
-    total = _rounded(units, radius)
+    total = _rounded(fold.units, fold.radius)
     if total is None:
-        total = math.fsum(flat.tolist())
-    mean_pct = total / n
-    rank = max(1, math.ceil(0.99 * n))  # nearest-rank definition
-    return ErrorStats(
-        max_pct=max_pct,
-        argmax_re=float(errmap.re[i]),
-        argmax_rough=float(errmap.rel_rough[i]),
-        mean_pct=mean_pct,
-        p99_pct=float(_nearest_rank(flat, rank)),
-    )
+        total = math.fsum(np.asarray(errmap.rel_err_pct, dtype=np.float64).ravel().tolist())
+    k = fold.cand.size - _tail(n)
+    return ErrorStats(fold.top, *fold.at, total / n, float(np.partition(fold.cand, k)[k]))
+
+
+# points per block of a scan's pass over the mesh and of stats_of's fold:
+# 512 KiB per float64 temporary, so a block's intermediates stay in a
+# core's L2 cache
+_SCAN_BLOCK = 65536
 
 
 def stats_of(errmap: ErrorMap) -> ErrorStats:
@@ -362,37 +376,28 @@ def stats_of(errmap: ErrorMap) -> ErrorStats:
 
     The mean is the correctly rounded sum of the errors divided by the
     point count, the same value as ``math.fsum`` over the errors divided
-    by the count. The map's sum is enclosed at once by
-    ``_one_level_sum`` and finished by ``_finish_stats``, as a scan's
-    block enclosures are. An inf error gives inf max and mean.
+    by the count. The map is folded ``_SCAN_BLOCK`` points at a time, as
+    a scan folds its blocks. An inf error gives inf max and mean.
 
     Raises:
         ConfigError: the map is empty or holds NaN errors.
     """
-    err = errmap.rel_err_pct
-    if err.size == 0:
+    flat = np.ascontiguousarray(errmap.rel_err_pct, dtype=np.float64).reshape(-1)
+    n = flat.size
+    if n == 0:
         raise ConfigError("cannot summarize an empty map")
-    flat = np.ascontiguousarray(err, dtype=np.float64).reshape(-1)
-    return _finish_stats(errmap, *_one_level_sum(flat, np.abs(flat).max()), float(flat.max()))
+    m, mag = _tail(n), float(np.abs(flat).max())
+    blocks = (slice(lo, lo + _SCAN_BLOCK) for lo in range(0, n, _SCAN_BLOCK))
+    folds = (_fold_block(flat[b], errmap.re[b], errmap.rel_rough[b], m, mag) for b in blocks)
+    return _finish_stats(errmap, n, reduce(lambda a, b: _merge(a, b, m), folds))
 
 
-# points per block of scan_many's pass over the mesh: 512 KiB per float64
-# temporary, so a block's intermediates stay in a core's L2 cache
-_SCAN_BLOCK = 65536
-
-
-def _scan_block(spec_list, re_c, rough_c, lam_ref_c, outs_c):
+def _scan_block(spec_list, re_c, rough_c, lam_ref_c, lams_c, m):
     """Fill one block of ``scan_many``'s outputs in place: ``lam_ref_c``
-    with the oracle lambda at (re_c, rough_c), and ``outs_c[k]`` with
-    spec k's (lambda_approx, rel_err_pct) rows from
-    ``schemes._evaluate_block``, which checks every spec before the
-    oracle runs.
-
-    Returns:
-        one (sine_fallbacks, units, radius, max) tuple per spec: the
-        errors' sum enclosed by ``_one_level_sum``, radius None if the
-        enclosure has no certificate, and the largest error (nan if one
-        is nan).
+    with the oracle lambda at (re_c, rough_c), and ``lams_c[k]`` with
+    spec k's lambda from ``schemes._evaluate_block``, which checks every
+    spec before the oracle runs; each spec's errors pass through one
+    block-sized buffer. Returns one (sine_fallbacks, ``_Fold``) per spec.
     """
     results = schemes._evaluate_block(spec_list, re_c, rough_c)
     x0 = core.oracle_start_raw(re_c, rough_c)
@@ -414,13 +419,11 @@ def _scan_block(spec_list, re_c, rough_c, lam_ref_c, outs_c):
         )
     np.power(x_ref, -2.0, out=lam_ref_c)
     record = [None] * len(spec_list)
+    err = np.empty(re_c.size)
     for k, x_a, sine_fallbacks in results:
-        lam_a, err = outs_c[k]
-        np.power(x_a, -2.0, out=lam_a)
-        core.relative_error_pct_raw(lam_ref_c, lam_a, out=err)
-        # errors are not negative, so their maximum is max|err|
-        top = err.max()
-        record[k] = (sine_fallbacks, *_one_level_sum(err, top), float(top))
+        np.power(x_a, -2.0, out=lams_c[k])
+        core.relative_error_pct_raw(lam_ref_c, lams_c[k], out=err)
+        record[k] = (sine_fallbacks, _fold_block(err, re_c, rough_c, m))
     return record
 
 
@@ -428,15 +431,13 @@ def scan_many(scheme_ids, grid=None, workers=1):
     """Scan several schemes (ids or specs) over one mesh, solving the
     oracle once.
 
-    The outputs are allocated once: the oracle lambda and, per scheme,
-    an array whose two rows are its lambda and error maps. The mesh is
-    cut into the fewest even contiguous blocks of at most ``_SCAN_BLOCK``
-    points, whatever the worker count, and a pool of ``min(workers,
-    blocks)`` threads fills them, one ``_scan_block`` task per block; a
-    failure is reported from the first failing block in mesh order. The
-    blocks' sum enclosures and maxima reduce per scheme, and the
-    same pool finishes the stats, one task per scheme, as ``stats_of``
-    does.
+    The outputs are allocated once: the oracle lambda and each scheme's
+    lambda map, 8 bytes per point each; an error map is computed on first
+    read. The mesh is cut into the fewest even contiguous blocks of at
+    most ``_SCAN_BLOCK`` points, whatever the worker count, and a pool of
+    ``min(workers, blocks)`` threads fills them, one ``_scan_block`` task
+    per block; a failure is reported from the first failing block in mesh
+    order. The blocks' folds reduce per scheme as the pool yields them.
     Every point is computed alone, so maps, stats and sine-fallback
     counts are the same bit for bit at any block size and worker count,
     and the stats equal ``stats_of`` of the maps.
@@ -456,6 +457,9 @@ def scan_many(scheme_ids, grid=None, workers=1):
         ConvergenceError: the oracle did not converge; carries its last
             iterate, iteration count and residual at the point.
     """
+    # imported here, so that importing the package loads no thread pool
+    from concurrent.futures import ThreadPoolExecutor
+
     workers = _count("workers", workers)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -468,31 +472,27 @@ def scan_many(scheme_ids, grid=None, workers=1):
         return {}
     re_flat, rough_flat = _flat_mesh(grid)
     lam_ref = np.empty(grid.size)
-    # outs[k] holds spec k's (lambda_approx, rel_err_pct) rows; one array
-    # for all schemes measured slower, as it is paged in afresh every scan
-    outs = [np.empty((2, grid.size)) for _ in spec_list]
+    # one array per scheme; one for all schemes measured slower, as it is
+    # paged in afresh every scan
+    lams = [np.empty(grid.size) for _ in spec_list]
     n_blocks = -(-grid.size // _SCAN_BLOCK)
     bounds = [grid.size * k // n_blocks for k in range(n_blocks + 1)]
+    m = _tail(grid.size)
 
     def block(lo, hi):
         return _scan_block(spec_list, re_flat[lo:hi], rough_flat[lo:hi], lam_ref[lo:hi],
-                           [out[:, lo:hi] for out in outs])
+                           [lam[lo:hi] for lam in lams], m)
+
+    def merge(acc, record):
+        return [(na + nb, _merge(a, b, m)) for (na, a), (nb, b) in zip(acc, record)]
 
     with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
-        per_spec = zip(*pool.map(block, bounds[:-1], bounds[1:]))
-        # each a tuple over the specs of a tuple over the blocks
-        counts, units, radii, tops = zip(*(zip(*recs) for recs in per_spec))
-        errmaps = [
-            ErrorMap(grid, re_flat, rough_flat, lam_ref, *rows, sine_fallbacks=sum(nfb))
-            for rows, nfb in zip(outs, counts)
-        ]
-        # a block without a certificate leaves its map without one; max
-        # propagates nan, which the finishing check reports
-        map_radii = [None if None in r else sum(r) for r in radii]
-        stats = pool.map(
-            _finish_stats, errmaps, map(sum, units), map_radii, np.max(tops, axis=1).tolist()
-        )
-        return {spec.id: (em, st) for spec, em, st in zip(spec_list, errmaps, stats)}
+        folds = reduce(merge, pool.map(block, bounds[:-1], bounds[1:]))
+    out = {}
+    for spec, lam, (fallbacks, fold) in zip(spec_list, lams, folds):
+        em = ErrorMap(grid, re_flat, rough_flat, lam_ref, lam, None, fallbacks)
+        out[spec.id] = (em, _finish_stats(em, grid.size, fold))
+    return out
 
 
 def scan_errors(scheme_id, grid=None, workers=1):

@@ -158,8 +158,6 @@ _STARTERS = {
     "eq5": _Starter(starter_eq5_raw, normalized=True, sine=True),
     "eq6": _Starter(starter_eq6_raw, normalized=True, sine=True),
 }
-# the starters with a sine term; only these take a kernel sine strategy
-SINE_STARTERS = tuple(name for name, row in _STARTERS.items() if row.sine)
 
 
 def theta_raw(re, rel_rough, x):

@@ -1,5 +1,6 @@
 """Mesh scans, quasi-random sampling, exports, and the cost model."""
 
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -332,20 +333,48 @@ class TestScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        # the error maps are left underived: they are computed on read
         arrays = {
             id(a): a
             for em, _ in res.values()
-            for a in (em.re, em.rel_rough, em.lambda_ref, em.lambda_approx, em.rel_err_pct)
+            for a in (em.re, em.rel_rough, em.lambda_ref, em.lambda_approx)
         }
         returned = sum(a.nbytes for a in arrays.values())
         assert peak < 2 * returned, peak / returned
+
+    def test_a_scan_holds_one_lambda_map_per_scheme(self):
+        g = evaluation.GridSpec(n_re=200, n_rough=200)
+        evaluation.scan_many(SWEEP_SPECS, grid=SMALL)  # first-call imports
+        tracemalloc.start()
+        try:
+            res = evaluation.scan_many(SWEEP_SPECS, grid=g, workers=2)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # lambda_ref and the two mesh arrays beside one lambda map per
+        # scheme; 64 KiB covers the result's objects and the stats
+        assert held <= (len(SWEEP_SPECS) + 3) * g.size * 8 + 65536, held
+        for em, st in res.values():
+            assert em.__dict__["rel_err_pct"] is None
+            err = em.rel_err_pct
+            assert err.tobytes() == core.relative_error_pct_raw(
+                em.lambda_ref, em.lambda_approx).tobytes()
+            assert em.rel_err_pct is err  # computed once
+            assert evaluation.stats_of(em) == st
+        em = res["eq6a"][0]
+        kept = replace(em, sine_fallbacks=7)
+        assert kept.sine_fallbacks == 7 and kept.rel_err_pct is em.rel_err_pct
+        lam = em.lambda_approx * 1.5
+        moved = replace(em, lambda_approx=lam, rel_err_pct=None)
+        assert moved.rel_err_pct.tobytes() == core.relative_error_pct_raw(
+            em.lambda_ref, lam).tobytes()
 
     def test_workers_never_outnumber_blocks(self, monkeypatch):
         pools = []
 
         class InlinePool:
-            """Records its size and runs the tasks, the blocks' and the
-            stats' finishing, in the caller: no thread starts."""
+            """Records its size and runs the blocks' tasks in the caller:
+            no thread starts."""
 
             def __init__(self, max_workers):
                 pools.append(max_workers)
@@ -359,7 +388,7 @@ class TestScan:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         base = evaluation.scan_errors("eq6a", grid=SMALL)
         # SMALL's 432 points are one default block: one thread
         whole = evaluation.scan_errors("eq6a", grid=SMALL, workers=100_000)
@@ -378,8 +407,8 @@ class TestScan:
         taken = []
 
         class RecordingPool:
-            """Records the blocks' point ranges and runs the tasks, the
-            stats' finishing too, in the caller."""
+            """Records the blocks' point ranges and runs the tasks in the
+            caller."""
 
             def __init__(self, max_workers):
                 pass
@@ -391,11 +420,10 @@ class TestScan:
                 return False
 
             def map(self, fn, *iterables):
-                if fn is not evaluation._finish_stats:
-                    taken.append(list(zip(*iterables)))
+                taken.append(list(zip(*iterables)))
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(evaluation, "_SCAN_BLOCK", 64)
         for workers in (1, 2, 3):
             evaluation.scan_errors("eq2", grid=SMALL, workers=workers)
@@ -562,8 +590,8 @@ class TestScan:
 
     def test_sweep_maps_take_neither_fallback(self, monkeypatch):
         # on the default mesh each block's one-level enclosure decides the
-        # rounding of every sweep map's sum, and the preselected errors
-        # hold every map's p99
+        # rounding of every sweep map's sum, and the p99 is partitioned
+        # from each block and from each map's candidates alone
         sums, partitions = [], []
         fsum, partition = math.fsum, np.partition
 
@@ -579,8 +607,9 @@ class TestScan:
         monkeypatch.setattr(np, "partition", counted_partition)
         res = evaluation.scan_many(SWEEP_SPECS, grid=evaluation.DEFAULT_GRID)
         assert sums == []
-        assert len(partitions) == 2 * len(SWEEP_SPECS)
-        assert max(partitions) < evaluation.DEFAULT_GRID.size / 10
+        # two blocks of 45,000 points per spec, then each map's 2m candidates
+        m = evaluation._tail(evaluation.DEFAULT_GRID.size)
+        assert sorted(partitions) == [2 * m] * len(SWEEP_SPECS) + [45_000] * 2 * len(SWEEP_SPECS)
         # the enclosure of each whole map decides its rounding as well
         for sid, (em, st) in res.items():
             assert st == evaluation.stats_of(em), sid
@@ -814,6 +843,17 @@ class TestShortestRepr:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
         assert out.stdout.split() == ["False", "True"]
+
+
+def test_import_loads_no_pool_logging_export_or_cli():
+    # scan_many imports its thread pool, export_csv its formatter, on use
+    src = str(Path(evaluation.__file__).resolve().parents[1])
+    names = ["concurrent.futures", "logging", "colebrook._floatrepr", "colebrook.cli"]
+    code = f"import sys, colebrook; print([m for m in {names!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestExports:

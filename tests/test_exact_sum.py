@@ -168,6 +168,15 @@ def _sum_outcome(fn):
         return "ValueError"
 
 
+def _finish(x, units, radius):
+    """The fold's finish on the map of x, one block, with its sum
+    enclosure replaced by (units, radius)."""
+    em = _map_of(x)
+    fold = evaluation._fold_block(x, em.re, em.rel_rough, evaluation._tail(x.size),
+                                  float(np.abs(x).max()))
+    return evaluation._finish_stats(em, x.size, fold._replace(units=units, radius=radius))
+
+
 def _units_of(values):
     """The exact sum of finite values, in units of 2**-1074."""
     total = sum(map(Fraction, values), Fraction(0)) * 2**1074
@@ -203,9 +212,7 @@ def test_enclosures_of_pieces_give_the_sum(case):
         units += piece_units
         if radius is not None:
             radius += piece_radius
-    em = _map_of(x)
-    got = _sum_outcome(
-        lambda: evaluation._finish_stats(em, units, radius, float(x.max())).mean_pct)
+    got = _sum_outcome(lambda: _finish(x, units, radius).mean_pct)
     assert got == _sum_outcome(lambda: _fsum_mean(xs))
 
 
@@ -225,7 +232,7 @@ def test_an_enclosure_holding_a_rounding_boundary_is_summed_exactly(tail, want, 
         return fsum(*args)
 
     monkeypatch.setattr(math, "fsum", counted)
-    st = evaluation._finish_stats(_map_of(x), units, radius, 1.0)
+    st = _finish(x, units, radius)
     assert len(calls) == 1
     assert math.fsum(x.tolist()) == want
     assert st.mean_pct == want / x.size
