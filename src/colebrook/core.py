@@ -23,7 +23,8 @@ approximation is judged against.
 The oracle has a vector form (``solve_colebrook_raw``) and a scalar form
 (``solve_colebrook_exact``). Both apply the one Newton step
 ``_newton_step``; the scalar form runs it on Python floats and equals
-the vector form bit for bit.
+the vector form bit for bit in x. Lambda may differ by an ulp: a
+``FrictionIterate`` takes Python's ``x ** -2.0``, a scan ``np.power``.
 
 The transcendentals of every path that runs on floats and on arrays go
 through ``log10``, ``ln`` and ``sin``: the numpy ufunc, looked up at

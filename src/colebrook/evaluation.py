@@ -34,11 +34,11 @@ import operator
 import time
 from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
-from . import core, schemes
+from . import core, kernels, schemes
 
 
 class ConfigError(ValueError):
@@ -64,10 +64,10 @@ class GridSpec:
     eps/D in [1e-6, 0.05]: 90,000 intersection points.
     """
 
-    re_min: float = 4000.0
-    re_max: float = 1.0e8
+    re_min: float = core.RE_MIN
+    re_max: float = core.RE_MAX
     rough_min: float = 1e-6
-    rough_max: float = 0.05
+    rough_max: float = core.ROUGH_MAX
     n_re: int = 300
     n_rough: int = 300
     re_spacing: str = "log"
@@ -209,35 +209,30 @@ def sobol_2d(n: int, bounds=None, mapping: str = "uniform"):
 # error maps
 # ---------------------------------------------------------------------------
 
-class _DerivedErrors:
-    """``ErrorMap.rel_err_pct``: the array given, or for None (the default)
-    ``core.relative_error_pct_raw`` of the lambda maps, on first read."""
-
-    def __get__(self, errmap, owner=None):
-        if errmap is None:
-            return None  # the field's default
-        err = errmap.__dict__["rel_err_pct"]
-        if err is None:
-            err = errmap.__dict__["rel_err_pct"] = core.relative_error_pct_raw(
-                errmap.lambda_ref, errmap.lambda_approx)
-        return err
-
-    def __set__(self, errmap, err):
-        errmap.__dict__["rel_err_pct"] = err
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ErrorMap:
-    """Per-point relative errors over a mesh, rough-major flattened;
-    without ``rel_err_pct``, as a scan builds it, derived on first read."""
+    """Per-point relative errors over a mesh, rough-major flattened.
+    ``rel_err_pct`` is the array given, or, without one (as a scan builds
+    a map, and as ``replace`` does unless it is passed), derived from the
+    lambda maps on first read."""
 
     grid: GridSpec | None
     re: np.ndarray
     rel_rough: np.ndarray
     lambda_ref: np.ndarray
     lambda_approx: np.ndarray
-    rel_err_pct: np.ndarray | None = _DerivedErrors()
     sine_fallbacks: int = 0
+
+    def __init__(self, grid, re, rel_rough, lambda_ref, lambda_approx, rel_err_pct=None,
+                 sine_fallbacks=0):
+        self.__dict__.update(grid=grid, re=re, rel_rough=rel_rough, lambda_ref=lambda_ref,
+                             lambda_approx=lambda_approx, sine_fallbacks=sine_fallbacks)
+        if rel_err_pct is not None:
+            self.__dict__["rel_err_pct"] = rel_err_pct
+
+    @cached_property
+    def rel_err_pct(self):
+        return core.relative_error_pct_raw(self.lambda_ref, self.lambda_approx)
 
 
 @dataclass(frozen=True, slots=True)
@@ -733,7 +728,7 @@ def cost_profile(scheme_id) -> CostProfile:
     ops = Counter()
     re, rel_rough = (np.array([v]).view(_CountingArray) for v in (1e5, 1e-4))
     re.ops = rel_rough.ops = ops
-    schemes._recipe(spec, re, rel_rough, schemes._plain_sine(spec.sin_strategy))
+    schemes._recipe(spec, re, rel_rough, kernels.SIN_KERNELS.get(spec.sin_strategy, np.sin))
     return CostProfile(spec.id, ops[np.log10] + ops[np.log], ops[np.sin], ops[np.divide])
 
 

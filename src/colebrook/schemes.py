@@ -19,28 +19,26 @@ own (``eq6a-sinpade``, ``eq2a1-t-exact``). Each scheme has one
 implementation, ``_recipe``: plain arithmetic that runs unchanged on
 Python floats and on numpy arrays, after one input check,
 ``_check_inputs``. One point (``evaluate_scheme``) and arrays
-(``evaluate_scheme_raw``, the scan's blocks) agree bit for bit.
+(``evaluate_scheme_raw``, the scan's blocks) agree bit for bit in x.
 
 Arrays go through ``_evaluate_block``, which checks every spec on the
 extremes in input order before it computes anything, then runs the
 specs grouped by starter. Schemes of one starter form prefix chains
 (``eqNa`` is one step on ``eqN``, ``eq2a2`` on ``eq2a1``): a group
-computes each shared starter and step once through one memo, and its
-exact prefixes call ``np.sin`` once, in the starter. ``eq2a2-pade``
-takes its first step from the memo when ``eq2a1`` put it there. A kernel
-sine equals the exact sine outside its window, so there a kernel-sine
-scheme is its exact prefix, bit for bit. When the starter's schemes take
-two or more sine strategies, the group computes that prefix once (if no
-exact scheme asked for it, then for the kernel schemes alone), and runs
-each kernel strategy's recipe, through a memo of its own, on the points
-whose sine argument lies inside the window only; the others are its
-sine fallbacks. When a kernel is the starter's only strategy, its recipe
-runs once over the block, with a sine that takes the kernel inside the
-window and ``np.sin`` at the fallbacks, as ``_point_sine`` does per
-element. (a, b) are computed once per block when two or more recipes
-take them (a kernel-sine scheme of the first kind runs two), else by the
-one recipe, which takes only the logs it uses. Each starter's memos are
-released before the next starter's group runs.
+computes each shared starter and step once through one memo, under one
+base sine. ``eq2a2-pade`` takes its first step from the memo when
+``eq2a1`` put it there. The base is ``np.sin`` when a scheme of the
+starter takes the exact sine, else the first kernel strategy's
+``_block_sine``: the kernel inside the window and ``np.sin`` at the
+other points, its sine fallbacks, as ``_point_sine`` picks per element.
+Every strategy takes ``np.sin`` outside the window, so there each scheme
+is its base prefix, bit for bit; a scheme of another strategy copies
+that prefix and recomputes only the points whose sine argument lies
+inside the window, with its kernel and a memo of its own. (a, b) are
+computed once per block when two or more recipes take them (a scheme
+off its base runs two), else by the one recipe, which takes only the
+logs it uses. Each starter's memos are released before the next
+starter's group runs.
 """
 
 import math
@@ -87,12 +85,6 @@ _TRANSFORMED_CONSTANTS = {
 CONSTANTS_MODES = tuple(_TRANSFORMED_CONSTANTS)
 
 
-def _plain_sine(strategy):
-    """The array sine of a strategy with no fallback: ``np.sin``, or the
-    kernel alone, which ``_evaluate_block`` runs on window points only."""
-    return np.sin if strategy == "exact" else kernels.SIN_KERNELS[strategy]
-
-
 def _point_sine(kernel):
     """The sine of one float: the kernel value inside the window, the
     exact sine outside it, as ``_evaluate_block`` picks per element. The
@@ -104,17 +96,21 @@ def _point_sine(kernel):
 _POINT_SINES = {"exact": sin, **{k: _point_sine(fn) for k, fn in kernels.SIN_KERNELS.items()}}
 
 
-def _block_sine(kernel, fallbacks):
-    """The array sine of ``_point_sine``: the kernel at the arguments
-    inside the window, ``np.sin`` at the others, whose count it appends to
-    ``fallbacks``. Each is taken on its own points only."""
+def _block_sine(strategy, seen):
+    """The array sine of ``_POINT_SINES[strategy]``: ``np.sin``, or the
+    kernel at the arguments inside the window and ``np.sin`` at the
+    others, each taken on its own points only. It puts its argument in
+    the dict ``seen``, and a kernel's count of those others."""
+    kernel = kernels.SIN_KERNELS.get(strategy)
 
     def sine(arg):
-        arg = np.asarray(arg)
+        seen["arg"] = arg = np.asarray(arg)
+        if kernel is None:
+            return np.sin(arg)
         inside = kernels.in_sin_window(arg)
         s = np.sin(arg, out=np.empty_like(arg), where=~inside)
         s[inside] = kernel(arg[inside])
-        fallbacks.append(s.size - int(np.count_nonzero(inside)))
+        seen["fallbacks"] = s.size - int(np.count_nonzero(inside))
         return s
 
     return sine
@@ -394,7 +390,7 @@ def evaluate_scheme(spec, point: FlowPoint) -> FrictionIterate:
     """Run a scheme at one point: starter, then acceleration steps.
 
     Runs the check and the recipe of ``evaluate_scheme_raw`` on Python
-    floats, so the result equals the vector path's bit for bit.
+    floats, so its x equals the vector path's bit for bit.
 
     Args:
         spec: a SchemeSpec or a registered scheme id.
@@ -439,47 +435,34 @@ def _evaluate_block(spec_list, re, rel_rough):
         starters.setdefault(spec.starter, {}).setdefault(spec.sin_strategy, []).append(k)
 
     def run():
-        # a kernel spec beside another sine strategy takes (a, b) twice: on
-        # the block and on its window
+        # each starter's base sine: exact when one of its specs takes it
+        bases = {st: "exact" if "exact" in by else next(iter(by)) for st, by in starters.items()}
+        # a spec off its base takes (a, b) twice: on the block and on its window
         takers = sum(
             (_STARTERS[s.starter].normalized or s.transformed)
-            * (1 + (s.sin_strategy != "exact" and len(starters[s.starter]) > 1))
+            * (1 + (s.sin_strategy != bases[s.starter]))
             for s in spec_list
         )
         ab = (np.log10(re), -np.log10(rel_rough)) if takers > 1 else None
-        for strategies in starters.values():
-            # the exact prefixes and the one exact sine, whose argument
-            # the starter hands to the sine
-            memo, args, idx = {}, [], None
-
-            def exact_sine(arg):
-                args.append(arg)
-                return np.sin(arg)
-
+        for starter, strategies in starters.items():
+            base, memo, seen, idx = bases[starter], {}, {"fallbacks": 0}, None
+            sine = _block_sine(base, seen)
             for strategy, group in strategies.items():
                 kernel_memo = {}
-                if strategy != "exact" and len(strategies) == 1:
-                    # no exact prefix to share: one pass over the block; the
-                    # memo's starter holds the one sine of the group
-                    fallbacks = []
-                    sine = _block_sine(kernels.SIN_KERNELS[strategy], fallbacks)
-                    for k in group:
-                        x = _recipe(spec_list[k], re, rel_rough, sine, ab, kernel_memo)
-                        yield k, x, fallbacks[0]
-                    continue
                 for k in group:
                     spec = spec_list[k]
-                    # outside the window a kernel spec is its exact prefix
-                    x = _recipe(spec, re, rel_rough, exact_sine, ab, memo)
-                    if strategy == "exact":
-                        yield k, x, 0
+                    # outside the window a spec is its base prefix
+                    x = _recipe(spec, re, rel_rough, sine, ab, memo)
+                    if strategy == base:
+                        yield k, x, seen["fallbacks"]
                         continue
                     if idx is None:
                         idx, (re_w, rough_w, *ab_w) = _window_points(
-                            args[0], (re, rel_rough, *(ab or ())))
-                    x = np.array(x)  # a copy; the memo keeps the exact prefix
+                            seen["arg"], (re, rel_rough, *(ab or ())))
+                    x = np.array(x)  # a copy; the memo keeps the base prefix
                     x.reshape(-1)[idx] = _recipe(
-                        spec, re_w, rough_w, _plain_sine(strategy), ab_w or None, kernel_memo)
+                        spec, re_w, rough_w, kernels.SIN_KERNELS[strategy], ab_w or None,
+                        kernel_memo)
                     yield k, x, x.size - idx.size
 
     return run()
