@@ -9,9 +9,12 @@ timed under its own id with no further settings.
 
 Grid scans cut the mesh into even cache-sized blocks, one task each on
 a thread pool; per block the oracle is solved once and the schemes run
-together through ``schemes._evaluate_block``. A scan keeps one lambda
-map per scheme, 8 bytes per point, and an error map is computed from
-the lambda maps on first read. The stats are an exact fold over blocks:
+together through ``schemes._evaluate_block``; a block builds its points
+from the grid axes and frees the oracle's outputs but its lambda before
+the schemes run. A scan holds 8 bytes per point per scheme, its lambda
+map, plus the oracle lambda; a map's errors are computed from the lambda
+maps on first read, and its coordinates from the grid, one pair per
+scan. The stats are an exact fold over blocks:
 each block's errors, while in cache, give a record of their sum's
 enclosure (``_one_level_sum``, in integer counts of 2**-1074), their
 largest error at its lexicographically first (re, rough), and their m
@@ -83,9 +86,7 @@ class GridSpec:
         if not self.re_min < self.re_max:
             raise ConfigError(f"re bounds not ordered: [{self.re_min}, {self.re_max}]")
         if not self.rough_min < self.rough_max:
-            raise ConfigError(
-                f"rough bounds not ordered: [{self.rough_min}, {self.rough_max}]"
-            )
+            raise ConfigError(f"rough bounds not ordered: [{self.rough_min}, {self.rough_max}]")
         if _count("n_re", self.n_re) < 2 or _count("n_rough", self.n_rough) < 2:
             raise ConfigError("need at least 2 points per axis to include both endpoints")
         if self.re_spacing not in _SPACINGS or self.rough_spacing not in _SPACINGS:
@@ -101,24 +102,24 @@ DEFAULT_GRID = GridSpec()
 
 def _axis(lo, hi, n, spacing):
     # geomspace/linspace both pin the endpoints exactly
-    if spacing == "log":
-        return np.geomspace(lo, hi, n)
-    return np.linspace(lo, hi, n)
+    return (np.geomspace if spacing == "log" else np.linspace)(lo, hi, n)
 
 
 def grid_axes(spec: GridSpec):
     """(re_values, rough_values) axis arrays, endpoints included."""
-    return (
-        _axis(spec.re_min, spec.re_max, spec.n_re, spec.re_spacing),
-        _axis(spec.rough_min, spec.rough_max, spec.n_rough, spec.rough_spacing),
-    )
+    return (_axis(spec.re_min, spec.re_max, spec.n_re, spec.re_spacing),
+            _axis(spec.rough_min, spec.rough_max, spec.n_rough, spec.rough_spacing))
 
 
-def _flat_mesh(spec: GridSpec):
-    """Flattened rough-major mesh: roughness varies slowest."""
+def _flat_mesh(spec: GridSpec, lo=0, hi=None):
+    """Points lo to hi (by default all) of the flattened rough-major mesh,
+    roughness varying slowest, built from the rows of the axes they span."""
     re_axis, rough_axis = grid_axes(spec)
-    rough_m, re_m = np.meshgrid(rough_axis, re_axis, indexing="ij")
-    return re_m.ravel(), rough_m.ravel()
+    hi, n = spec.size if hi is None else hi, spec.n_re
+    rows = slice(lo // n, -(-hi // n))
+    rough_m, re_m = np.meshgrid(rough_axis[rows], re_axis, indexing="ij")
+    cut = slice(lo - rows.start * n, hi - rows.start * n)
+    return re_m.ravel()[cut], rough_m.ravel()[cut]
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +133,9 @@ def _sobol_directions():
     # dimension 1: van der Corput in base 2
     v1 = [1 << (_SOBOL_BITS - 1 - j) for j in range(_SOBOL_BITS)]
     # dimension 2: degree-1 primitive polynomial, m_j = 2*m_{j-1} XOR m_{j-1}
-    m = 1
-    ms = [m]
+    ms = [1]
     for _ in range(1, _SOBOL_BITS):
-        m = (m << 1) ^ m
-        ms.append(m)
+        ms.append((ms[-1] << 1) ^ ms[-1])
     v2 = [ms[j] << (_SOBOL_BITS - 1 - j) for j in range(_SOBOL_BITS)]
     return v1, v2
 
@@ -211,10 +210,14 @@ def sobol_2d(n: int, bounds=None, mapping: str = "uniform"):
 
 @dataclass(frozen=True, init=False)
 class ErrorMap:
-    """Per-point relative errors over a mesh, rough-major flattened.
-    ``rel_err_pct`` is the array given, or, without one (as a scan builds
-    a map, and as ``replace`` does unless it is passed), derived from the
-    lambda maps on first read."""
+    """Per-point relative errors over a mesh, rough-major flattened. A
+    scan's map holds its lambda map, 8 bytes per point, and the oracle
+    lambda its scan shares. ``rel_err_pct`` is the array given, or,
+    without one (as a scan builds a map, and as ``replace`` does unless
+    it is passed), derived from the lambda maps on first read. ``re``
+    and ``rel_rough`` are the arrays given, or, for a map given a grid
+    and neither (as a scan builds it), its flat mesh, derived on first
+    read, one pair for all maps of a scan."""
 
     grid: GridSpec | None
     re: np.ndarray
@@ -225,10 +228,19 @@ class ErrorMap:
 
     def __init__(self, grid, re, rel_rough, lambda_ref, lambda_approx, rel_err_pct=None,
                  sine_fallbacks=0):
-        self.__dict__.update(grid=grid, re=re, rel_rough=rel_rough, lambda_ref=lambda_ref,
-                             lambda_approx=lambda_approx, sine_fallbacks=sine_fallbacks)
-        if rel_err_pct is not None:
-            self.__dict__["rel_err_pct"] = rel_err_pct
+        given = dict(re=re, rel_rough=rel_rough, rel_err_pct=rel_err_pct)
+        self.__dict__.update({k: v for k, v in given.items() if v is not None}, grid=grid,
+                             lambda_ref=lambda_ref, lambda_approx=lambda_approx,
+                             sine_fallbacks=sine_fallbacks, _mesh={})
+
+    def __getattr__(self, name):
+        # a coordinate not given: from the mesh holder, which a scan's maps share
+        if name not in ("re", "rel_rough"):
+            raise AttributeError(name)
+        mesh = self.__dict__["_mesh"]
+        if not mesh and self.grid is not None:
+            mesh.update(zip(("re", "rel_rough"), _flat_mesh(self.grid)))
+        return mesh.get(name)
 
     @cached_property
     def rel_err_pct(self):
@@ -318,8 +330,9 @@ def _largest(err, m):
 
 # the stats of some blocks of a map: their sum's ``_one_level_sum``
 # enclosure; their largest error (nan if one is nan) at its first (re,
-# rough); as p99 candidates, at least the m = ``_tail(n)`` largest errors
-_Fold = namedtuple("_Fold", "units radius top at cand")
+# rough); as p99 candidates, at least the m = ``_tail(n)`` largest
+# errors; their count of nan errors
+_Fold = namedtuple("_Fold", "units radius top at cand nan")
 
 
 def _fold_block(err, re, rough, m, mag=None):
@@ -330,7 +343,8 @@ def _fold_block(err, re, rough, m, mag=None):
     ties = np.flatnonzero(err == top)  # none when top is nan
     i = ties[np.lexsort((rough[ties], re[ties]))][:1]
     at = (float(re[i[0]]), float(rough[i[0]])) if i.size else None
-    return _Fold(*_one_level_sum(err, top if mag is None else mag), top, at, _largest(err, m))
+    nan = np.count_nonzero(np.isnan(err)) if math.isnan(top) else 0
+    return _Fold(*_one_level_sum(err, top if mag is None else mag), top, at, _largest(err, m), nan)
 
 
 def _merge(a, b, m):
@@ -340,18 +354,16 @@ def _merge(a, b, m):
     best = b if math.isnan(b.top) or b.top > a.top or b.top == a.top and b.at < a.at else a
     cand = np.concatenate((a.cand, b.cand))
     return _Fold(a.units + b.units, None if None in (a.radius, b.radius) else a.radius + b.radius,
-                 best.top, best.at, _largest(cand, m) if cand.size > 2 * m else cand)
+                 best.top, best.at, _largest(cand, m) if cand.size > 2 * m else cand, a.nan + b.nan)
 
 
 def _finish_stats(errmap, n, fold):
     """The stats of a map of n points from the fold of all its blocks. The
     sum is the one double both ends of its enclosure round to, else, or
     without a certificate, ``math.fsum``'s over the map's errors."""
-    if math.isnan(fold.top):
+    if fold.nan:
         raise ConfigError(
-            f"cannot summarize a map with NaN errors: "
-            f"{np.count_nonzero(np.isnan(errmap.rel_err_pct))} of {n} points are NaN"
-        )
+            f"cannot summarize a map with NaN errors: {fold.nan} of {n} points are NaN")
     total = _rounded(fold.units, fold.radius)
     if total is None:
         total = math.fsum(np.asarray(errmap.rel_err_pct, dtype=np.float64).ravel().tolist())
@@ -387,16 +399,18 @@ def stats_of(errmap: ErrorMap) -> ErrorStats:
     return _finish_stats(errmap, n, reduce(lambda a, b: _merge(a, b, m), folds))
 
 
-def _scan_block(spec_list, re_c, rough_c, lam_ref_c, lams_c, m):
-    """Fill one block of ``scan_many``'s outputs in place: ``lam_ref_c``
-    with the oracle lambda at (re_c, rough_c), and ``lams_c[k]`` with
-    spec k's lambda from ``schemes._evaluate_block``, which checks every
-    spec before the oracle runs; each spec's errors pass through one
+def _scan_block(spec_list, grid, lo, hi, lam_ref_c, lams_c, m):
+    """Fill points lo to hi of ``scan_many``'s outputs in place, built
+    from the grid axes: ``lam_ref_c`` with the oracle lambda, the only
+    oracle output kept while the specs run, and ``lams_c[k]`` with spec
+    k's lambda from ``schemes._evaluate_block``, which checks every spec
+    before the oracle runs; each spec's errors pass through one
     block-sized buffer. Returns one (sine_fallbacks, ``_Fold``) per spec.
     """
+    re_c, rough_c = _flat_mesh(grid, lo, hi)
     results = schemes._evaluate_block(spec_list, re_c, rough_c)
-    x0 = core.oracle_start_raw(re_c, rough_c)
-    x_ref, iterations, residual, converged = core.solve_colebrook_raw(re_c, rough_c, x0)
+    x_ref, iterations, residual, converged = core.solve_colebrook_raw(
+        re_c, rough_c, core.oracle_start_raw(re_c, rough_c))
     if not converged.all():
         j = int(np.flatnonzero(~converged)[0])
         raise core.ConvergenceError(
@@ -408,11 +422,10 @@ def _scan_block(spec_list, re_c, rough_c, lam_ref_c, lams_c, m):
     nonphysical = np.flatnonzero(x_ref <= 0.0)
     if nonphysical.size:
         j = int(nonphysical[0])
-        raise core.DomainError(
-            f"oracle root x={x_ref[j]} is not positive at "
-            f"(re={re_c[j]}, rel_rough={rough_c[j]})"
-        )
+        raise core.DomainError(f"oracle root x={x_ref[j]} is not positive at "
+                               f"(re={re_c[j]}, rel_rough={rough_c[j]})")
     np.power(x_ref, -2.0, out=lam_ref_c)
+    del x_ref, iterations, residual, converged
     record = [None] * len(spec_list)
     err = np.empty(re_c.size)
     for k, x_a, sine_fallbacks in results:
@@ -426,10 +439,11 @@ def scan_many(scheme_ids, grid=None, workers=1):
     """Scan several schemes (ids or specs) over one mesh, solving the
     oracle once.
 
-    The outputs are allocated once: the oracle lambda and each scheme's
-    lambda map, 8 bytes per point each; an error map is computed on first
-    read. The mesh is cut into the fewest even contiguous blocks of at
-    most ``_SCAN_BLOCK`` points, whatever the worker count, and a pool of
+    A scan holds 8 bytes per point per scheme, its lambda map, plus the
+    oracle lambda, each allocated once. A map's errors are computed on
+    first read, and its coordinates likewise, one pair for the scan. The
+    mesh is cut into the fewest even contiguous blocks of at most
+    ``_SCAN_BLOCK`` points, whatever the worker count, and a pool of
     ``min(workers, blocks)`` threads fills them, one ``_scan_block`` task
     per block; a failure is reported from the first failing block in mesh
     order. The blocks' folds reduce per scheme as the pool yields them.
@@ -465,27 +479,25 @@ def scan_many(scheme_ids, grid=None, workers=1):
         raise ConfigError(f"scheme ids must be distinct; repeated: {', '.join(repeated)}")
     if not spec_list:
         return {}
-    re_flat, rough_flat = _flat_mesh(grid)
     lam_ref = np.empty(grid.size)
-    # one array per scheme; one for all schemes measured slower, as it is
-    # paged in afresh every scan
+    # one array per scheme; one for all measured slower, paged in afresh
     lams = [np.empty(grid.size) for _ in spec_list]
     n_blocks = -(-grid.size // _SCAN_BLOCK)
     bounds = [grid.size * k // n_blocks for k in range(n_blocks + 1)]
     m = _tail(grid.size)
 
     def block(lo, hi):
-        return _scan_block(spec_list, re_flat[lo:hi], rough_flat[lo:hi], lam_ref[lo:hi],
-                           [lam[lo:hi] for lam in lams], m)
+        return _scan_block(spec_list, grid, lo, hi, lam_ref[lo:hi], [lam[lo:hi] for lam in lams], m)
 
     def merge(acc, record):
         return [(na + nb, _merge(a, b, m)) for (na, a), (nb, b) in zip(acc, record)]
 
     with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
         folds = reduce(merge, pool.map(block, bounds[:-1], bounds[1:]))
-    out = {}
+    out, mesh = {}, {}
     for spec, lam, (fallbacks, fold) in zip(spec_list, lams, folds):
-        em = ErrorMap(grid, re_flat, rough_flat, lam_ref, lam, None, fallbacks)
+        em = ErrorMap(grid, None, None, lam_ref, lam, None, fallbacks)
+        em.__dict__["_mesh"] = mesh  # one derived pair for the scan
         out[spec.id] = (em, _finish_stats(em, grid.size, fold))
     return out
 
@@ -515,13 +527,10 @@ def export_csv(errmap: ErrorMap, path):
     Every column is written as float64, whatever its dtype.
 
     The decimals are computed a block of values at a time by
-    ``_floatrepr.repr_bytes``: Schubfach (R. Giulietti, "The Schubfach
-    way to render doubles", 2020; the method of ``Double.toString`` since
-    JDK 19, after U. Adams, "Ryu", PLDI 2018) finds the shortest decimal
-    in each value's rounding interval, the nearest if there are several,
-    which is the digit string ``repr`` gives, in uint64 arithmetic over
-    the bit patterns. Zeros, subnormals, inf and nan are written by
-    ``repr`` itself, one value at a time.
+    ``_floatrepr.repr_bytes`` (Schubfach, the method of
+    ``Double.toString`` since JDK 19): the shortest decimal in each
+    value's rounding interval, the nearest of several, as ``repr`` gives
+    it. Zeros, subnormals, inf and nan are written by ``repr`` itself.
 
     The two axis columns repeat few values, so each distinct value is
     formatted once. Rows are built ``_CSV_BLOCK`` at a time as one byte
@@ -652,16 +661,9 @@ def table1_rows(grid=None, workers=1):
     scans = scan_many(schemes.TABLE1_ROW_IDS, grid=grid, workers=workers)
     rows = []
     for sid in schemes.TABLE1_ROW_IDS:
-        _, stats = scans[sid]
-        prof = cost_profile(sid)
-        rows.append(
-            {
-                "scheme": sid,
-                "n_log": prof.n_log,
-                "measured_max_pct": stats.max_pct,
-                "published_max_pct": PUBLISHED_MAX_PCT[sid],
-            }
-        )
+        rows.append({"scheme": sid, "n_log": cost_profile(sid).n_log,
+                     "measured_max_pct": scans[sid][1].max_pct,
+                     "published_max_pct": PUBLISHED_MAX_PCT[sid]})
     return rows
 
 
@@ -753,8 +755,7 @@ def benchmark(scheme_ids, batch=None, reps=9):
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[0] == 0 or batch.shape[1] != 2:
         raise ConfigError("batch must be a non-empty (n, 2) array of (re, rel_rough)")
-    re_b = np.ascontiguousarray(batch[:, 0])
-    rough_b = np.ascontiguousarray(batch[:, 1])
+    re_b, rough_b = np.ascontiguousarray(batch.T)
     out = []
     for sid in scheme_ids:
         spec = schemes.get_scheme(sid)
@@ -765,8 +766,7 @@ def benchmark(scheme_ids, batch=None, reps=9):
             t0 = time.perf_counter_ns()
             x, _ = schemes.evaluate_scheme_raw(spec, re_b, rough_b)
             sink += float(x[0]) + float(x[-1])
-            t1 = time.perf_counter_ns()
-            samples.append((t1 - t0) / re_b.size)
+            samples.append((time.perf_counter_ns() - t0) / re_b.size)
         med = statistics.median(samples)
         mad = statistics.median(abs(s - med) for s in samples)
         timing = TimingResult(med, mad, reps, int(re_b.size), sink)

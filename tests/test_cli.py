@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from colebrook import cli, core, kernels
+from colebrook import cli, core, evaluation, kernels
 
 LAM_STAR_1E5 = 0.01851249948164709
 
@@ -183,6 +184,30 @@ class TestScan:
         assert rc == 1
         assert "1 of 30 points are inf or NaN" in err
         assert not pgm.exists()
+
+    def test_artifacts_equal_those_of_a_map_given_its_mesh(self, capsys, tmp_path):
+        # the scan's map derives its coordinates from the grid; a map given
+        # the flat mesh, as scans once built one, writes the same bytes
+        csv, pgm = tmp_path / "m.csv", tmp_path / "m.pgm"
+        rc, out, _ = run(capsys, "scan", "--scheme", "eq2a2", "--grid", "40x30", "--workers", "2",
+                         "--out", str(csv), "--heatmap", str(pgm), "--json")
+        assert rc == 0
+        grid = evaluation.GridSpec(n_re=40, n_rough=30)
+        em, _ = evaluation.scan_errors("eq2a2", grid=grid)
+        re_axis, rough_axis = evaluation.grid_axes(grid)
+        rough_m, re_m = np.meshgrid(rough_axis, re_axis, indexing="ij")
+        given = evaluation.ErrorMap(grid, re_m.ravel(), rough_m.ravel(), em.lambda_ref,
+                                    em.lambda_approx, None, em.sine_fallbacks)
+        evaluation.export_csv(given, tmp_path / "given.csv")
+        evaluation.export_heatmap(given, tmp_path / "given.pgm")
+        assert csv.read_bytes() == (tmp_path / "given.csv").read_bytes()
+        assert pgm.read_bytes() == (tmp_path / "given.pgm").read_bytes()
+        st = evaluation.stats_of(given)
+        assert json.loads(out) == {
+            "scheme": "eq2a2", "max_pct": st.max_pct, "argmax_re": st.argmax_re,
+            "argmax_rough": st.argmax_rough, "mean_pct": st.mean_pct, "p99_pct": st.p99_pct,
+            "points": 1200, "sine_fallbacks": 0, "csv": str(csv), "heatmap": str(pgm),
+        }
 
     def test_artifacts_reproducible_across_worker_counts(self, capsys, tmp_path):
         paths = []

@@ -315,6 +315,21 @@ class TestScan:
             self._poisoned_scan(monkeypatch, ["eq2", "eq6a"], {"eq6a": (158, 160)})
         assert str(folded.value) == str(whole.value)
 
+    def test_nan_count_is_carried_by_the_fold(self, monkeypatch):
+        # the message's count comes from the blocks' folds: no whole-map
+        # error array is derived to count the NaNs
+        whole, rel_err = [], core.relative_error_pct_raw
+
+        def recorded(lambda_accurate, lambda_approx, out=None):
+            if out is None:
+                whole.append(np.size(lambda_accurate))
+            return rel_err(lambda_accurate, lambda_approx, out=out)
+
+        monkeypatch.setattr(core, "relative_error_pct_raw", recorded)
+        with pytest.raises(evaluation.ConfigError, match=": 3 of 161 points are NaN$"):
+            self._poisoned_scan(monkeypatch, ["eq2", "eq6a"], {"eq6a": (3, 158, 160)})
+        assert whole == []
+
     def test_first_nan_scheme_in_input_order_is_reported(self, monkeypatch):
         bad = {"eq6a": (158,), "eq2a2-pade": (3, 158, 160)}
         for order, count in ((["eq2", "eq6a", "eq2a2-pade"], 1),
@@ -349,12 +364,10 @@ class TestScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the error maps are left underived: they are computed on read
-        arrays = {
-            id(a): a
-            for em, _ in res.values()
-            for a in (em.re, em.rel_rough, em.lambda_ref, em.lambda_approx)
-        }
+        # only the arrays the scan allocated: the error maps and the
+        # coordinates are left underived, as they are computed on read
+        arrays = {id(a): a for em, _ in res.values() for a in (em.lambda_ref, em.lambda_approx)}
+        assert len(arrays) == len(res) + 1
         returned = sum(a.nbytes for a in arrays.values())
         assert peak < 2 * returned, peak / returned
 
@@ -367,9 +380,9 @@ class TestScan:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # lambda_ref and the two mesh arrays beside one lambda map per
-        # scheme; 64 KiB covers the result's objects and the stats
-        assert held <= (len(SWEEP_SPECS) + 3) * g.size * 8 + 65536, held
+        # lambda_ref beside one lambda map per scheme; 64 KiB covers the
+        # result's objects and the stats
+        assert held <= (len(SWEEP_SPECS) + 1) * g.size * 8 + 65536, held
         for em, st in res.values():
             assert "rel_err_pct" not in vars(em)  # not computed by the scan
             err = em.rel_err_pct
@@ -398,6 +411,82 @@ class TestScan:
         given = evaluation.ErrorMap(None, em.re, em.rel_rough, em.lambda_ref, lam, err, 3)
         assert given.rel_err_pct is err and given.sine_fallbacks == 3
         assert replace(em, lambda_approx=lam, rel_err_pct=err).rel_err_pct is err
+
+    # a mesh whose axes differ in length, spacing and block alignment
+    LINEAR = evaluation.GridSpec(re_min=1e4, re_max=1e7, rough_min=1e-5, rough_max=0.02,
+                                 n_re=37, n_rough=23, re_spacing="linear", rough_spacing="linear")
+
+    @pytest.mark.parametrize("grid", [evaluation.DEFAULT_GRID, LINEAR], ids=["default", "linear"])
+    def test_derived_coordinates_are_the_flat_mesh(self, grid, monkeypatch):
+        taken = []
+        flat_mesh = evaluation._flat_mesh
+
+        def recorded(spec, lo=0, hi=None):
+            taken.append((lo, hi))
+            return flat_mesh(spec, lo, hi)
+
+        monkeypatch.setattr(evaluation, "_flat_mesh", recorded)
+        res = evaluation.scan_many(["eq2", "eq6a"], grid=grid, workers=2)
+        # each block builds its own points; no whole-mesh pair is built
+        n_blocks = -(-grid.size // evaluation._SCAN_BLOCK)
+        bounds = [grid.size * k // n_blocks for k in range(n_blocks + 1)]
+        assert sorted(taken) == list(zip(bounds[:-1], bounds[1:]))
+        re_axis, rough_axis = evaluation.grid_axes(grid)
+        rough_m, re_m = np.meshgrid(rough_axis, re_axis, indexing="ij")
+        whole = flat_mesh(grid)
+        for em, st in res.values():
+            assert "re" not in vars(em) and "rel_rough" not in vars(em)
+            for got, want, flat in zip((em.re, em.rel_rough), (re_m, rough_m), whole):
+                assert got.dtype == np.float64 and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes() == flat.tobytes()
+            assert evaluation.stats_of(em) == st
+
+    def test_mesh_blocks_are_slices_of_the_flat_mesh(self):
+        # 37-point rows: blocks start and end inside rows, on row edges,
+        # span one row, several, or the whole mesh
+        g = self.LINEAR
+        re_flat, rough_flat = evaluation._flat_mesh(g)
+        for size in (1, 7, 36, 37, 38, 74, 100, g.size):
+            for lo in range(0, g.size, size):
+                hi = min(lo + size, g.size)
+                re_c, rough_c = evaluation._flat_mesh(g, lo, hi)
+                assert re_c.tobytes() == re_flat[lo:hi].tobytes(), (size, lo)
+                assert rough_c.tobytes() == rough_flat[lo:hi].tobytes(), (size, lo)
+
+    def test_a_scan_derives_one_coordinate_pair_for_its_maps(self, monkeypatch):
+        res = evaluation.scan_many(["eq2", "eq6a", "eq2a2-pade"], grid=SMALL)
+        calls = []
+        flat_mesh = evaluation._flat_mesh
+        monkeypatch.setattr(evaluation, "_flat_mesh", lambda *a: calls.append(a) or flat_mesh(*a))
+        (a, _), (b, _), (c, _) = res.values()
+        assert a.re is b.re is c.re and a.rel_rough is b.rel_rough is c.rel_rough
+        assert calls == [(SMALL,)]  # derived once
+        # another scan derives its own pair, after its one block's points
+        other, _ = evaluation.scan_errors("eq2", grid=SMALL)
+        assert other.re is not a.re and other.re.tobytes() == a.re.tobytes()
+        assert calls == [(SMALL,), (SMALL, 0, SMALL.size), (SMALL,)]
+
+    def test_replace_keeps_the_coordinates_of_scan_and_loaded_maps(self, tmp_path):
+        em, st = evaluation.scan_errors("eq6a", grid=SMALL)
+        moved = replace(em, sine_fallbacks=5)
+        assert moved.re is em.re and moved.rel_rough is em.rel_rough
+        assert moved.sine_fallbacks == 5 and evaluation.stats_of(moved) == st
+        path = tmp_path / "m.csv"
+        evaluation.export_csv(em, path)
+        loaded = evaluation.load_csv(path)
+        lam = loaded.lambda_approx * 1.5
+        for m in (loaded, replace(loaded, lambda_approx=lam)):
+            assert m.grid is None
+            assert m.re.tobytes() == em.re.tobytes()
+            assert m.rel_rough.tobytes() == em.rel_rough.tobytes()
+        assert replace(loaded, lambda_approx=lam).rel_err_pct.tobytes() == (
+            core.relative_error_pct_raw(loaded.lambda_ref, lam).tobytes())
+        # a map given its coordinates keeps them, with or without a grid
+        re = em.re + 1.0
+        given = evaluation.ErrorMap(SMALL, re, em.rel_rough, em.lambda_ref, em.lambda_approx)
+        assert given.re is re and replace(given, sine_fallbacks=1).re is re
+        bare = evaluation.ErrorMap(None, None, None, em.lambda_ref, em.lambda_approx)
+        assert bare.re is None and bare.rel_rough is None
 
     def test_workers_never_outnumber_blocks(self, monkeypatch):
         pools = []
