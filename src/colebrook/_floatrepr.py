@@ -13,12 +13,13 @@ in ``repr``'s format with shifts of three little-endian words per value.
 
 Zeros, inf and nan, and subnormals, whose candidates can have fewer than
 the 16 or 17 digits the layout expects, go through ``repr`` one value at
-a time. The power-of-ten constant of a decimal exponent is computed from
-Python ints when a value first needs it; nothing is built at import, and
+a time. The first call builds the tables once (``_tables``): the
+power-of-ten constants of all 617 decimal exponents, from Python ints,
+and the 4-digit tables. Nothing is built at import, and
 ``evaluation`` imports this module only when it first writes a CSV.
 """
 
-import threading
+import functools
 
 import numpy as np
 
@@ -46,43 +47,22 @@ def _pow10_column(k):
     return [(g >> (28 * i)) & ((1 << 28) - 1) for i in range(5)] + [log2 + 2]
 
 
-class _ReprTables:
-    """The formatter's constant tables, made on first use: the digit
-    tables at once, the power-of-ten column of a decimal exponent when a
-    value first needs it. Nothing is built at import."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.pow10 = self.pow10_made = self.digits4 = self.sig4 = None
-
-    def _make(self):
-        v = np.arange(10000)
-        chars = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1)
-        chars = (chars + ord("0")).astype(np.uint8)
-        # the 4 ASCII digits of v as one little-endian word
-        self.digits4 = chars.view("<u4").ravel().astype(np.uint64)
-        # how many of those 4 chars run up to the last nonzero digit; -99 for 0
-        nonzero = chars != ord("0")
-        self.sig4 = np.where(
-            v > 0, 4 - np.argmax(nonzero[:, ::-1], axis=1), -99).astype(np.int8)
-        self.pow10_made = np.zeros(_K_MAX - _K_MIN + 1, bool)
-        self.pow10 = np.zeros((6, _K_MAX - _K_MIN + 1), np.int64)
-
-    def pow10_columns(self, k):
-        """(6, k.size) uint64: the columns of ``_pow10_column`` for k."""
-        lo, hi = int(k.min()) - _K_MIN, int(k.max()) - _K_MIN
-        with self._lock:
-            if self.pow10 is None:
-                self._make()
-            made = self.pow10_made[lo:hi + 1]
-            if not made.all():
-                for i in np.flatnonzero(~made).tolist():
-                    self.pow10[:, lo + i] = _pow10_column(lo + i + _K_MIN)
-                made[:] = True
-        return np.take(self.pow10, k - _K_MIN, axis=1).view(np.uint64)
-
-
-_TABLES = _ReprTables()
+@functools.cache
+def _tables():
+    """The formatter's constant tables, made by the first call, read-only:
+    every decimal exponent's ``_pow10_column`` as one (6, 617) table
+    (uint64, the last row mod 2**64), the 4 ASCII digits of each
+    v < 10**4 as one little-endian word, and how many of those 4 chars
+    run up to the last nonzero digit, -99 for 0."""
+    pow10 = np.array([_pow10_column(k) for k in range(_K_MIN, _K_MAX + 1)], np.int64).T
+    v = np.arange(10000)
+    chars = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1)
+    chars = (chars + ord("0")).astype(np.uint8)
+    sig4 = np.where(v > 0, 4 - np.argmax(chars[:, ::-1] != ord("0"), axis=1), -99).astype(np.int8)
+    tables = pow10.view(np.uint64), chars.view("<u4").ravel().astype(np.uint64), sig4
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _round_to_odd(g, x, h):
@@ -130,7 +110,7 @@ def _shortest(biased, frac):
     # a power of two has a lower neighbour twice as close
     uneven = (frac == 0) & (biased > 1)
     k = (q * 661_971_961_083 - uneven * 274_743_187_321) >> 41
-    pow10 = _TABLES.pow10_columns(k)
+    pow10 = np.take(_tables()[0], k - _K_MIN, axis=1)
     # h = q + floor(log2(10**-k)) + 2 lies in [2, 5]; summed mod 2**64
     g, h = pow10[:5], q.view(np.uint64) + pow10[5]
     cb = c << _U(2)
@@ -171,7 +151,7 @@ def _layout(f, k, negative):
     f -= d8_11 * 10 ** 6
     d12_15 = f // 100
     d16_17 = f - d12_15 * 100
-    digits4, sig4 = _TABLES.digits4, _TABLES.sig4
+    _, digits4, sig4 = _tables()
     words = [
         np.take(digits4, d0_3) | (np.take(digits4, d4_7) << _U(32)),
         np.take(digits4, d8_11) | (np.take(digits4, d12_15) << _U(32)),

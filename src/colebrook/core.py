@@ -302,8 +302,8 @@ def solve_colebrook_exact(point: FlowPoint) -> SolveReport:
             root after the first step, at most 4 steps on the default
             mesh; far outside it a step can leave the log's domain, and
             the nan iterate then counts to the cap.
-        DomainError: the root is not positive, as from eps/D = 3.71 up;
-            the message is the scan's at the same point.
+        DomainError: the root is not positive, as from eps/D = 3.71 up.
+        A scan re-solves its first failing point here, so it raises these.
     """
     tol = DEFAULT_TOL
     re, rel_rough = point.re, point.rel_rough

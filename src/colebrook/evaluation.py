@@ -217,7 +217,9 @@ class ErrorMap:
     it is passed), derived from the lambda maps on first read. ``re``
     and ``rel_rough`` are the arrays given, or, for a map given a grid
     and neither (as a scan builds it), its flat mesh, derived on first
-    read, one pair for all maps of a scan."""
+    read, one pair for all maps of a scan; without a grid they are None.
+    Every array given must have ``lambda_ref``'s size, as must a grid,
+    else ``ConfigError``."""
 
     grid: GridSpec | None
     re: np.ndarray
@@ -229,6 +231,14 @@ class ErrorMap:
     def __init__(self, grid, re, rel_rough, lambda_ref, lambda_approx, rel_err_pct=None,
                  sine_fallbacks=0):
         given = dict(re=re, rel_rough=rel_rough, rel_err_pct=rel_err_pct)
+        n = np.size(lambda_ref)
+        sizes = {k: np.size(v) for k, v in dict(given, lambda_approx=lambda_approx).items()
+                 if v is not None}
+        if grid is not None:
+            sizes["grid"] = grid.size
+        wrong = ", ".join(f"{k} {size}" for k, size in sizes.items() if size != n)
+        if wrong:
+            raise ConfigError(f"a map's arrays and grid must have lambda_ref's {n} points, got {wrong}")
         self.__dict__.update({k: v for k, v in given.items() if v is not None}, grid=grid,
                              lambda_ref=lambda_ref, lambda_approx=lambda_approx,
                              sine_fallbacks=sine_fallbacks, _mesh={})
@@ -245,6 +255,12 @@ class ErrorMap:
     @cached_property
     def rel_err_pct(self):
         return core.relative_error_pct_raw(self.lambda_ref, self.lambda_approx)
+
+    def _coordinates(self, use):
+        """(re, rel_rough), or ConfigError, naming ``use``, without them."""
+        if self.re is None or self.rel_rough is None:
+            raise ConfigError(f"{use} needs a map with coordinates: a grid, or re and rel_rough")
+        return self.re, self.rel_rough
 
 
 @dataclass(frozen=True, slots=True)
@@ -387,15 +403,17 @@ def stats_of(errmap: ErrorMap) -> ErrorStats:
     a scan folds its blocks. An inf error gives inf max and mean.
 
     Raises:
-        ConfigError: the map is empty or holds NaN errors.
+        ConfigError: the map is empty, has no coordinates or holds NaN
+            errors.
     """
     flat = np.ascontiguousarray(errmap.rel_err_pct, dtype=np.float64).reshape(-1)
     n = flat.size
     if n == 0:
         raise ConfigError("cannot summarize an empty map")
+    re, rough = errmap._coordinates("summarizing")
     m, mag = _tail(n), float(np.abs(flat).max())
     blocks = (slice(lo, lo + _SCAN_BLOCK) for lo in range(0, n, _SCAN_BLOCK))
-    folds = (_fold_block(flat[b], errmap.re[b], errmap.rel_rough[b], m, mag) for b in blocks)
+    folds = (_fold_block(flat[b], re[b], rough[b], m, mag) for b in blocks)
     return _finish_stats(errmap, n, reduce(lambda a, b: _merge(a, b, m), folds))
 
 
@@ -411,21 +429,18 @@ def _scan_block(spec_list, grid, lo, hi, lam_ref_c, lams_c, m):
     results = schemes._evaluate_block(spec_list, re_c, rough_c)
     x_ref, iterations, residual, converged = core.solve_colebrook_raw(
         re_c, rough_c, core.oracle_start_raw(re_c, rough_c))
-    if not converged.all():
-        j = int(np.flatnonzero(~converged)[0])
-        raise core.ConvergenceError(
-            f"oracle did not converge at (re={re_c[j]}, rel_rough={rough_c[j]})",
-            last_x=float(x_ref[j]), iterations=int(iterations[j]), residual=float(residual[j]),
-        )
+    del iterations, residual
     # from eps/D = 3.71 up the root is not positive; lambda = x**-2 of it
     # is not a friction factor
-    nonphysical = np.flatnonzero(x_ref <= 0.0)
-    if nonphysical.size:
-        j = int(nonphysical[0])
-        raise core.DomainError(f"oracle root x={x_ref[j]} is not positive at "
-                               f"(re={re_c[j]}, rel_rough={rough_c[j]})")
+    failed = np.flatnonzero(~(converged & (x_ref > 0.0)))
+    if failed.size:
+        # the scalar solve, bit-equal to the vector one, raises the point's error
+        j = int(failed[0])
+        core.solve_colebrook_exact(core.FlowPoint(re_c[j], rough_c[j], out_of_domain_ok=True))
+        raise RuntimeError(f"internal error: the scalar oracle solved (re={re_c[j]}, "
+                           f"rel_rough={rough_c[j]}), where the vector oracle failed")
     np.power(x_ref, -2.0, out=lam_ref_c)
-    del x_ref, iterations, residual, converged
+    del x_ref, converged
     record = [None] * len(spec_list)
     err = np.empty(re_c.size)
     for k, x_a, sine_fallbacks in results:
@@ -463,8 +478,9 @@ def scan_many(scheme_ids, grid=None, workers=1):
         DomainError: a scheme's inputs fail its input check (the first
             such scheme in input order is named), or the oracle root is
             not positive.
-        ConvergenceError: the oracle did not converge; carries its last
-            iterate, iteration count and residual at the point.
+        ConvergenceError: the oracle did not converge. Either oracle
+            error is ``core.solve_colebrook_exact``'s, message and fields,
+            at the first point of the block that fails either way.
     """
     # imported here, so that importing the package loads no thread pool
     from concurrent.futures import ThreadPoolExecutor
@@ -535,6 +551,9 @@ def export_csv(errmap: ErrorMap, path):
     The two axis columns repeat few values, so each distinct value is
     formatted once. Rows are built ``_CSV_BLOCK`` at a time as one byte
     matrix, each field NUL-padded, and written without the NULs.
+
+    Raises:
+        ConfigError: the map has no coordinates; nothing is written.
     """
     # imported on first use, so that importing the package does not compile it
     from ._floatrepr import repr_bytes
@@ -542,7 +561,7 @@ def export_csv(errmap: ErrorMap, path):
     # each distinct bit pattern of an axis column, so -0.0 and 0.0 and
     # different NaNs stay apart, and the row of its text for each element
     axes = []
-    for col in (errmap.re, errmap.rel_rough):
+    for col in errmap._coordinates("CSV export"):
         col = np.ascontiguousarray(col, dtype=np.float64)
         bits, index = np.unique(col.view(np.uint64), return_inverse=True)
         text = repr_bytes(bits.view(np.float64))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -856,10 +857,23 @@ class TestScan:
         point = core.FlowPoint(0.001, 1e-6, out_of_domain_ok=True)
         with pytest.raises(core.ConvergenceError) as scalar:
             core.solve_colebrook_exact(point)
-        assert str(scan.value).endswith("at (re=0.001, rel_rough=1e-06)")
+        assert str(scan.value) == str(scalar.value)
         fields = [(e.last_x, e.iterations, e.residual) for e in (scan.value, scalar.value)]
         assert fields[0][1] == core.DEFAULT_MAX_ITER
         np.testing.assert_equal(fields[0], fields[1])
+
+    def test_a_failure_the_scalar_solve_does_not_repeat_is_internal(self, monkeypatch):
+        solve = core.solve_colebrook_raw
+
+        def first_point_fails(*args):
+            x, iterations, residual, converged = solve(*args)
+            converged[0] = False
+            return x, iterations, residual, converged
+
+        monkeypatch.setattr(core, "solve_colebrook_raw", first_point_fails)
+        with pytest.raises(RuntimeError, match="^internal error: the scalar oracle") as exc:
+            evaluation.scan_errors("eq2", grid=SMALL)
+        assert type(exc.value) is RuntimeError
 
     def test_non_positive_root_has_the_scan_message(self):
         g = evaluation.GridSpec(re_min=1e5, re_max=2e5, rough_min=5.0, rough_max=6.0,
@@ -980,11 +994,42 @@ class TestShortestRepr:
         # a fresh interpreter, so that no earlier test has built the tables
         src = str(Path(evaluation.__file__).resolve().parents[1])
         code = ("import sys, colebrook; print('colebrook._floatrepr' in sys.modules); "
-                "from colebrook import _floatrepr; print(_floatrepr._TABLES.pow10 is None)")
+                "from colebrook import _floatrepr; print(_floatrepr._tables.cache_info().currsize)")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
-        assert out.stdout.split() == ["False", "True"]
+        assert out.stdout.split() == ["False", "0"]
+
+    def test_concurrent_first_calls_match_repr(self):
+        # a fresh interpreter, so that the threads' calls are the first
+        src = str(Path(evaluation.__file__).resolve().parents[1])
+        code = textwrap.dedent("""
+            import threading
+            import numpy as np
+            from colebrook import _floatrepr
+            rng = np.random.default_rng(5)
+            xs = [rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000)
+                  for _ in range(4)]
+            start, got = threading.Barrier(len(xs)), [None] * len(xs)
+
+            def run(i):
+                start.wait()
+                got[i] = _floatrepr.repr_bytes(xs[i])
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(xs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            for x, m in zip(xs, got):
+                texts = [bytes(row).rstrip(b"\\0").decode() for row in m]
+                assert texts == [repr(v) for v in x.tolist()]
+            print(_floatrepr._tables.cache_info().currsize)
+        """)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.split() == ["1"]
 
 
 def test_import_loads_no_pool_logging_export_or_cli():
@@ -1169,6 +1214,31 @@ class TestExports:
         )
         with pytest.raises(evaluation.ConfigError):
             evaluation.export_heatmap(loaded_free, tmp_path / "no.pgm")
+
+    def test_map_columns_and_grid_must_match_lambda_ref(self):
+        em, _ = evaluation.scan_errors("eq2a2", grid=evaluation.GridSpec(n_re=5, n_rough=4))
+        cols = dict(re=em.re, rel_rough=em.rel_rough, lambda_ref=em.lambda_ref,
+                    lambda_approx=em.lambda_approx, rel_err_pct=em.rel_err_pct)
+        # unchecked, a short column gives a short CSV, and a wrong grid a
+        # heatmap whose header disagrees with its samples
+        for name in ("re", "rel_rough", "lambda_approx", "rel_err_pct"):
+            with pytest.raises(evaluation.ConfigError, match=f"20 points, got {name} 10$"):
+                evaluation.ErrorMap(None, **dict(cols, **{name: cols[name][:10]}))
+        with pytest.raises(evaluation.ConfigError, match="20 points, got grid 9$"):
+            replace(em, grid=evaluation.GridSpec(n_re=3, n_rough=3))
+        with pytest.raises(evaluation.ConfigError, match="19 points, got re 20, .*grid 20$"):
+            evaluation.ErrorMap(em.grid, **dict(cols, lambda_ref=em.lambda_ref[1:]))
+
+    def test_a_map_without_coordinates_is_neither_written_nor_summarized(self, tmp_path):
+        em, _ = evaluation.scan_errors("eq2a2", grid=evaluation.GridSpec(n_re=5, n_rough=4))
+        bare = evaluation.ErrorMap(None, None, None, em.lambda_ref, em.lambda_approx)
+        # unchecked, the CSV is one row of nan for 20 points and the stats
+        # a TypeError
+        with pytest.raises(evaluation.ConfigError, match="CSV export needs a map with coord"):
+            evaluation.export_csv(bare, tmp_path / "bare.csv")
+        assert not (tmp_path / "bare.csv").exists()
+        with pytest.raises(evaluation.ConfigError, match="summarizing needs a map with coord"):
+            evaluation.stats_of(bare)
 
     def test_exports_are_reproducible(self, tmp_path):
         g = evaluation.GridSpec(n_re=8, n_rough=6)
