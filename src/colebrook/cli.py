@@ -4,6 +4,10 @@ Exit codes: 0 ok, 1 usage or configuration error, 2 domain error,
 3 non-convergence, 4 I/O error. Settings resolve once per run: built-in
 defaults, then a flat ``key = value`` config file, then the flags, each
 stored under its settings key.
+
+Each subcommand returns a record and its text lines; ``main`` prints
+one: the record as one JSON object under ``--json``, else the text.
+Files written, and scan's text-mode stderr fallback audit, come first.
 """
 
 import argparse
@@ -128,29 +132,26 @@ def _cmd_solve(args, settings):
                 "steps": steps,
             }
         )
-    if args.json:
-        print(json.dumps(
-            {
-                "re": point.re,
-                "rough": point.rel_rough,
-                "in_domain": point.in_domain,
-                "results": results,
-            }
-        ))
-        return EXIT_OK
-    if not point.in_domain:
-        print(
-            f"warning: (re={point.re:g}, rough={point.rel_rough:g}) is outside "
-            "the validated domain; results are extrapolations"
-        )
+    lines = [] if point.in_domain else [
+        f"warning: (re={point.re:g}, rough={point.rel_rough:g}) is outside "
+        "the validated domain; results are extrapolations"
+    ]
     for r in results:
-        print(f"scheme       {r['scheme']}")
-        print(f"x            {r['x']:.12g}")
-        print(f"lambda       {r['lambda']:.12g}")
-        print(f"oracle       {r['lambda_oracle']:.12g}")
-        print(f"rel_err_pct  {r['rel_err_pct']:.6g}")
-        print(f"steps        {r['steps']}")
-    return EXIT_OK
+        lines += [
+            f"scheme       {r['scheme']}",
+            f"x            {r['x']:.12g}",
+            f"lambda       {r['lambda']:.12g}",
+            f"oracle       {r['lambda_oracle']:.12g}",
+            f"rel_err_pct  {r['rel_err_pct']:.6g}",
+            f"steps        {r['steps']}",
+        ]
+    record = {
+        "re": point.re,
+        "rough": point.rel_rough,
+        "in_domain": point.in_domain,
+        "results": results,
+    }
+    return record, lines
 
 
 def _cmd_scan(args, settings):
@@ -164,30 +165,25 @@ def _cmd_scan(args, settings):
     if args.heatmap:
         heatmap_path = _out_path(settings, args.heatmap)
         evaluation.export_heatmap(errmap, heatmap_path)
-    if args.json:
-        print(json.dumps(
-            {
-                "scheme": spec.id,
-                "max_pct": stats.max_pct,
-                "argmax_re": stats.argmax_re,
-                "argmax_rough": stats.argmax_rough,
-                "mean_pct": stats.mean_pct,
-                "p99_pct": stats.p99_pct,
-                "points": grid.size,
-                "sine_fallbacks": errmap.sine_fallbacks,
-                "csv": csv_path,
-                "heatmap": heatmap_path,
-            }
-        ))
-        return EXIT_OK
-    if spec.sin_strategy != "exact":
+    if spec.sin_strategy != "exact" and not args.json:
         print(f"sine fallbacks: {errmap.sine_fallbacks} of {grid.size}", file=sys.stderr)
+    record = {
+        "scheme": spec.id,
+        "max_pct": stats.max_pct,
+        "argmax_re": stats.argmax_re,
+        "argmax_rough": stats.argmax_rough,
+        "mean_pct": stats.mean_pct,
+        "p99_pct": stats.p99_pct,
+        "points": grid.size,
+        "sine_fallbacks": errmap.sine_fallbacks,
+        "csv": csv_path,
+        "heatmap": heatmap_path,
+    }
     # stable machine-parseable summary line
-    print(
+    return record, [
         f"{spec.id} {stats.max_pct!r} {stats.argmax_re!r} "
         f"{stats.argmax_rough!r} {stats.mean_pct!r} {stats.p99_pct!r}"
-    )
-    return EXIT_OK
+    ]
 
 
 def _cmd_table1(args, settings):
@@ -204,11 +200,7 @@ def _cmd_table1(args, settings):
             # str of a float is its repr
             for line in [rows[0].keys(), *(r.values() for r in rows)]:
                 f.write(",".join(map(str, line)) + "\n")
-    if args.json:
-        print(json.dumps({"rows": rows}))
-        return EXIT_OK
-    print(evaluation.table1_text(rows))
-    return EXIT_OK
+    return {"rows": rows}, [evaluation.table1_text(rows)]
 
 
 def _cmd_bench(args, settings):
@@ -217,40 +209,32 @@ def _cmd_bench(args, settings):
     profiles = evaluation.benchmark(
         [_spec(sid, settings) for sid in ids], batch=batch, reps=args.reps
     )
-    timing = {p.scheme_id: p.timing for p in profiles}
-    pade_faster = None
-    if "eq2a2-pade" in timing and "eq2a2" in timing:
-        pade_faster = timing["eq2a2-pade"].median_ns < timing["eq2a2"].median_ns
-    if args.json:
-        print(json.dumps(
-            {
-                "results": [
-                    {
-                        "scheme": p.scheme_id,
-                        "median_ns": p.timing.median_ns,
-                        "mad_ns": p.timing.mad_ns,
-                        "reps": p.timing.reps,
-                        "batch": p.timing.batch_size,
-                        "n_log": p.n_log,
-                        "n_sin": p.n_sin,
-                        "n_div": p.n_div,
-                    }
-                    for p in profiles
-                ],
-                "pade_one_log_faster": pade_faster,
-            }
-        ))
-        return EXIT_OK
-    print(f"{'scheme':<12}{'median ns/eval':>15}{'mad':>10}{'logs':>6}{'sin':>5}{'div':>5}")
-    for p in profiles:
-        print(
-            f"{p.scheme_id:<12}{p.timing.median_ns:>15.2f}"
-            f"{p.timing.mad_ns:>10.2f}{p.n_log:>6}{p.n_sin:>5}{p.n_div:>5}"
-        )
+    results = [
+        {
+            "scheme": p.scheme_id,
+            "median_ns": p.timing.median_ns,
+            "mad_ns": p.timing.mad_ns,
+            "reps": p.timing.reps,
+            "batch": p.timing.batch_size,
+            "n_log": p.n_log,
+            "n_sin": p.n_sin,
+            "n_div": p.n_div,
+        }
+        for p in profiles
+    ]
+    median = {r["scheme"]: r["median_ns"] for r in results}
+    pade_faster = (median["eq2a2-pade"] < median["eq2a2"]
+                   if {"eq2a2-pade", "eq2a2"} <= median.keys() else None)
+    lines = [f"{'scheme':<12}{'median ns/eval':>15}{'mad':>10}{'logs':>6}{'sin':>5}{'div':>5}"]
+    lines += (
+        f"{r['scheme']:<12}{r['median_ns']:>15.2f}"
+        f"{r['mad_ns']:>10.2f}{r['n_log']:>6}{r['n_sin']:>5}{r['n_div']:>5}"
+        for r in results
+    )
     if pade_faster is not None:
         relation = "faster" if pade_faster else "not faster"
-        print(f"one-log path is {relation} than the two-log path on this host")
-    return EXIT_OK
+        lines.append(f"one-log path is {relation} than the two-log path on this host")
+    return {"results": results, "pade_one_log_faster": pade_faster}, lines
 
 
 _KERNEL_CHECKS = {
@@ -284,44 +268,36 @@ def _cmd_kernels(args, settings):
     max_err = float(err_pct.max())
     passed = max_err <= bound_pct if limit_pct is None else max_err < limit_pct
     verdict = "PASS" if passed else "FAIL"
-    if args.json:
-        print(json.dumps(
-            {
-                "check": args.check,
-                "sweep": n,
-                "window": [lo, hi],
-                "max_rel_err_pct": max_err,
-                "bound_pct": bound_pct,
-                "verdict": verdict,
-            }
-        ))
-        return EXIT_OK
-    print(
+    record = {
+        "check": args.check,
+        "sweep": n,
+        "window": [lo, hi],
+        "max_rel_err_pct": max_err,
+        "bound_pct": bound_pct,
+        "verdict": verdict,
+    }
+    return record, [
         f"{args.check} sweep={n} window=({lo}, {hi}) "
         f"max_rel_err_pct={max_err!r} bound={bound_pct} {verdict}"
-    )
-    return EXIT_OK
+    ]
 
 
 def _cmd_grid(args, settings):
     grid = _grid_from(settings)
     re_axis, rough_axis = evaluation.grid_axes(grid)
-    if args.json:
-        print(json.dumps(
-            {
-                "points": grid.size,
-                **asdict(grid),
-                "re_first": float(re_axis[0]),
-                "re_last": float(re_axis[-1]),
-                "rough_first": float(rough_axis[0]),
-                "rough_last": float(rough_axis[-1]),
-            }
-        ))
-        return EXIT_OK
-    print(f"points  {grid.size}")
-    print(f"re      {grid.re_min:g} .. {grid.re_max:g}  n={grid.n_re}  {grid.re_spacing}")
-    print(f"rough   {grid.rough_min:g} .. {grid.rough_max:g}  n={grid.n_rough}  {grid.rough_spacing}")
-    return EXIT_OK
+    record = {
+        "points": grid.size,
+        **asdict(grid),
+        "re_first": float(re_axis[0]),
+        "re_last": float(re_axis[-1]),
+        "rough_first": float(rough_axis[0]),
+        "rough_last": float(rough_axis[-1]),
+    }
+    return record, [
+        f"points  {grid.size}",
+        f"re      {grid.re_min:g} .. {grid.re_max:g}  n={grid.n_re}  {grid.re_spacing}",
+        f"rough   {grid.rough_min:g} .. {grid.rough_max:g}  n={grid.n_rough}  {grid.rough_spacing}",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +378,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        settings = _resolve_settings(args)
-        return args.func(args, settings)
+        record, lines = args.func(args, _resolve_settings(args))
+        print(json.dumps(record) if args.json else "\n".join(lines))
+        return EXIT_OK
     except (evaluation.ConfigError, schemes.SchemeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

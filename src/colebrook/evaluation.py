@@ -21,7 +21,7 @@ largest error at its lexicographically first (re, rough), and their m
 largest, m = n - rank + 1 for the nearest-rank p99. Records reduce as
 the pool yields them, the candidates cut back to m once they pass 2m;
 ``stats_of`` folds a map's blocks alike. The mean is rounded once, from
-the enclosure when both its ends round alike, else from ``math.fsum``.
+the enclosure when both its ends round alike, else by ``_exact_total``.
 Every point is computed alone, so results are identical for any block
 size and worker count.
 
@@ -219,7 +219,8 @@ class ErrorMap:
     and neither (as a scan builds it), its flat mesh, derived on first
     read, one pair for all maps of a scan; without a grid they are None.
     Every array given must have ``lambda_ref``'s size, as must a grid,
-    else ``ConfigError``."""
+    and ``re`` and ``rel_rough`` come both or neither, else
+    ``ConfigError``."""
 
     grid: GridSpec | None
     re: np.ndarray
@@ -239,6 +240,8 @@ class ErrorMap:
         wrong = ", ".join(f"{k} {size}" for k, size in sizes.items() if size != n)
         if wrong:
             raise ConfigError(f"a map's arrays and grid must have lambda_ref's {n} points, got {wrong}")
+        if (re is None) != (rel_rough is None):
+            raise ConfigError("a map takes both re and rel_rough, or neither")
         self.__dict__.update({k: v for k, v in given.items() if v is not None}, grid=grid,
                              lambda_ref=lambda_ref, lambda_approx=lambda_approx,
                              sine_fallbacks=sine_fallbacks, _mesh={})
@@ -333,6 +336,24 @@ def _rounded(units, radius):
     return lo if lo == hi else None
 
 
+def _exact_total(err):
+    """The correctly rounded sum of a flat float64 array without NaN: the
+    inf it holds, else ``math.fsum``'s, else, where a running sum of
+    fsum's overflows, the exact sum rounded once, ±inf past the float
+    range. ConfigError if it holds both +inf and -inf."""
+    infs = np.unique(err[np.isinf(err)])
+    if infs.size > 1:
+        raise ConfigError("cannot summarize a map with both +inf and -inf errors")
+    if infs.size:
+        return float(infs[0])
+    try:
+        return math.fsum(err.tolist())
+    except OverflowError:
+        units = sum(map(_float_units, err.tolist()))
+    total = _rounded(units, 0)
+    return (math.inf if units > 0 else -math.inf) if total is None else total
+
+
 def _tail(n):
     """m = n - rank + 1: the nearest-rank 99th percentile of n is the m-th largest."""
     return n - max(1, math.ceil(0.99 * n)) + 1
@@ -376,13 +397,13 @@ def _merge(a, b, m):
 def _finish_stats(errmap, n, fold):
     """The stats of a map of n points from the fold of all its blocks. The
     sum is the one double both ends of its enclosure round to, else, or
-    without a certificate, ``math.fsum``'s over the map's errors."""
+    without a certificate, ``_exact_total``'s over the map's errors."""
     if fold.nan:
         raise ConfigError(
             f"cannot summarize a map with NaN errors: {fold.nan} of {n} points are NaN")
     total = _rounded(fold.units, fold.radius)
     if total is None:
-        total = math.fsum(np.asarray(errmap.rel_err_pct, dtype=np.float64).ravel().tolist())
+        total = _exact_total(np.asarray(errmap.rel_err_pct, dtype=np.float64).ravel())
     k = fold.cand.size - _tail(n)
     return ErrorStats(fold.top, *fold.at, total / n, float(np.partition(fold.cand, k)[k]))
 
@@ -398,13 +419,14 @@ def stats_of(errmap: ErrorMap) -> ErrorStats:
     mean, nearest-rank 99th percentile.
 
     The mean is the correctly rounded sum of the errors divided by the
-    point count, the same value as ``math.fsum`` over the errors divided
-    by the count. The map is folded ``_SCAN_BLOCK`` points at a time, as
-    a scan folds its blocks. An inf error gives inf max and mean.
+    point count: where ``math.fsum`` over the errors does not overflow,
+    its value divided by the count; a sum past the float range is ±inf.
+    The map is folded ``_SCAN_BLOCK`` points at a time, as a scan folds
+    its blocks. An inf error gives inf max and mean.
 
     Raises:
-        ConfigError: the map is empty, has no coordinates or holds NaN
-            errors.
+        ConfigError: the map is empty, has no coordinates, or holds NaN
+            errors or both +inf and -inf errors.
     """
     flat = np.ascontiguousarray(errmap.rel_err_pct, dtype=np.float64).reshape(-1)
     n = flat.size

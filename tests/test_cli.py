@@ -57,6 +57,40 @@ class TestExitCodes:
         assert "solve" in out
 
 
+# a small run of each subcommand; scan's kernel sine has a stderr audit
+# in text mode
+EVERY_COMMAND = [
+    ("solve", "--re", "1e5", "--rough", "1e-4", "--scheme", "colebrook", "--scheme", "eq2a2"),
+    ("scan", "--scheme", "eq6a", "--grid", "6x5", "--sin", "pade"),
+    ("table1", "--grid", "4x3"),
+    ("bench", "--scheme", "eq2a2", "--batch", "64", "--reps", "3"),
+    ("kernels", "--check", "ln-pade", "--sweep", "101"),
+    ("grid", "--grid", "5x4"),
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+class TestOneOutputPath:
+    def test_json_is_one_object_on_one_line(self, capsys, argv):
+        rc, out, err = run(capsys, *argv, "--json")
+        assert (rc, err) == (0, "")
+        (line,) = out.splitlines()
+        assert out == line + "\n"
+        assert isinstance(json.loads(line), dict)
+
+    def test_text_is_not_json(self, capsys, argv):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0 and out.strip()
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out)
+
+    def test_subcommand_returns_record_and_lines_and_prints_neither(self, capsys, argv):
+        args = cli.build_parser().parse_args([*argv, "--json"])
+        record, lines = args.func(args, cli._resolve_settings(args))
+        assert capsys.readouterr() == ("", "")
+        assert isinstance(record, dict) and lines and all(isinstance(x, str) for x in lines)
+
+
 class TestSolve:
     def test_reference_solver_output(self, capsys):
         rc, out, _ = run(capsys, "solve", "--re", "1e5", "--rough", "1e-4", "--json")

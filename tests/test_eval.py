@@ -1229,6 +1229,14 @@ class TestExports:
         with pytest.raises(evaluation.ConfigError, match="19 points, got re 20, .*grid 20$"):
             evaluation.ErrorMap(em.grid, **dict(cols, lambda_ref=em.lambda_ref[1:]))
 
+    def test_a_map_takes_both_coordinates_or_neither(self):
+        # unchecked, a map given re alone takes rel_rough from its grid,
+        # and its argmax pairs the given re with a mesh roughness
+        ones, grid = np.ones(6), evaluation.GridSpec(n_re=3, n_rough=2)
+        for re, rough in ((np.full(6, 7.0), None), (None, np.full(6, 1e-3))):
+            with pytest.raises(evaluation.ConfigError, match="both re and rel_rough, or neither"):
+                evaluation.ErrorMap(grid, re, rough, ones, 1.01 * ones)
+
     def test_a_map_without_coordinates_is_neither_written_nor_summarized(self, tmp_path):
         em, _ = evaluation.scan_errors("eq2a2", grid=evaluation.GridSpec(n_re=5, n_rough=4))
         bare = evaluation.ErrorMap(None, None, None, em.lambda_ref, em.lambda_approx)

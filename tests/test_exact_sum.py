@@ -1,5 +1,6 @@
 """The exact sum behind the mean error: ``stats_of``'s mean equals the
-``math.fsum`` mean bit for bit."""
+``math.fsum`` mean bit for bit wherever fsum gives one; where a running
+sum of fsum's overflows, it is the exact sum rounded once, over the count."""
 
 import math
 import struct
@@ -68,6 +69,22 @@ def _fsum_mean(xs):
     return math.fsum(xs) / len(xs)
 
 
+def _exact_mean(xs):
+    """fsum's mean or, where a running sum of fsum's overflows, that of
+    the inf entries or of the exact sum, rounded once."""
+    try:
+        return _fsum_mean(xs)
+    except OverflowError:
+        infs = [x for x in xs if math.isinf(x)]
+        if infs:
+            return math.fsum(infs) / len(xs)
+        exact = sum(map(Fraction, xs))
+        try:
+            return float(exact) / len(xs)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
+
+
 @settings(max_examples=600, deadline=None)
 @given(st.one_of(st.lists(FINITE, min_size=1, max_size=80), _cancelling()))
 @example([1e16, 1.0, -1e16])
@@ -82,7 +99,7 @@ def _fsum_mean(xs):
 @example([MAX, -MAX, TINY])  # sigma past the float range, with tiny remainders
 @example([-MAX, 2.0**-1070, MAX, -3 * TINY])
 def test_equals_fsum(xs):
-    assert _outcome(_mean, xs) == _outcome(_fsum_mean, xs)
+    assert _outcome(_mean, xs) == _outcome(_exact_mean, xs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -90,8 +107,8 @@ def test_equals_fsum(xs):
 @example([MAX, MAX])
 @example([MAX / 2, MAX / 2, 2.0**970])
 def test_nonnegative_sum_overflows_exactly_when_fsum_does(xs):
-    # error maps are non-negative: there no running sum exceeds the total
-    assert _outcome(_mean, xs) == _outcome(_fsum_mean, xs)
+    # error maps are non-negative: a sum past the float range is inf
+    assert _outcome(_mean, xs) == _outcome(_exact_mean, xs)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -120,15 +137,31 @@ def test_nan_entries_are_refused(xs):
         _mean(xs)
 
 
-@pytest.mark.parametrize("xs,error", [
-    ([math.inf, -math.inf, 1.0], ValueError),
-    ([math.inf, MAX, MAX], OverflowError),
+@pytest.mark.parametrize("xs", [
+    [math.inf, -math.inf, 1.0],
+    [-math.inf, MAX, MAX, math.inf],  # fsum overflows before it meets -inf + inf
 ])
-def test_nonfinite_entries_raise_as_in_fsum(xs, error):
-    with pytest.raises(error):
+def test_inf_entries_of_both_signs_are_refused(xs):
+    # fsum raises a plain ValueError or OverflowError; such a map has no mean
+    with pytest.raises((ValueError, OverflowError)):
         _fsum_mean(xs)
-    with pytest.raises(error):
+    with pytest.raises(evaluation.ConfigError, match=r"both \+inf and -inf"):
         _mean(xs)
+
+
+@pytest.mark.parametrize("xs,want", [
+    ([1e308, 1e308, -1e308], 1e308 / 3),  # the exact sum is in range
+    ([MAX, MAX, -MAX, -MAX], 0.0),
+    ([1e308, 1e308], math.inf),  # the correctly rounded sum is inf
+    ([-MAX, -MAX, 1.0], -math.inf),
+    ([math.inf, MAX, MAX], math.inf),
+    ([MAX, MAX, math.inf], math.inf),
+])
+def test_a_sum_whose_fsum_overflows_is_rounded_once(xs, want):
+    with pytest.raises(OverflowError):
+        _fsum_mean(xs)
+    assert _mean(xs) == want
+    assert _exact_mean(xs) == want
 
 
 def test_mixed_exponents_cancellation_and_nonfinite_entries():
