@@ -338,18 +338,14 @@ def _rounded(units, radius):
 
 def _exact_total(err):
     """The correctly rounded sum of a flat float64 array without NaN: the
-    inf it holds, else ``math.fsum``'s, else, where a running sum of
-    fsum's overflows, the exact sum rounded once, ±inf past the float
+    inf it holds, else the exact sum rounded once, ±inf past the float
     range. ConfigError if it holds both +inf and -inf."""
     infs = np.unique(err[np.isinf(err)])
     if infs.size > 1:
         raise ConfigError("cannot summarize a map with both +inf and -inf errors")
     if infs.size:
         return float(infs[0])
-    try:
-        return math.fsum(err.tolist())
-    except OverflowError:
-        units = sum(map(_float_units, err.tolist()))
+    units = sum(map(_float_units, err.tolist()))
     total = _rounded(units, 0)
     return (math.inf if units > 0 else -math.inf) if total is None else total
 
@@ -419,8 +415,8 @@ def stats_of(errmap: ErrorMap) -> ErrorStats:
     mean, nearest-rank 99th percentile.
 
     The mean is the correctly rounded sum of the errors divided by the
-    point count: where ``math.fsum`` over the errors does not overflow,
-    its value divided by the count; a sum past the float range is ±inf.
+    point count, as ``math.fsum``'s wherever that does not overflow; a
+    sum past the float range is ±inf.
     The map is folded ``_SCAN_BLOCK`` points at a time, as a scan folds
     its blocks. An inf error gives inf max and mean.
 

@@ -713,17 +713,17 @@ class TestScan:
         # rounding of every sweep map's sum, and the p99 is partitioned
         # from each block and from each map's candidates alone
         sums, partitions = [], []
-        fsum, partition = math.fsum, np.partition
+        exact_total, partition = evaluation._exact_total, np.partition
 
         def counted_sum(*args):
             sums.append(args)
-            return fsum(*args)
+            return exact_total(*args)
 
         def counted_partition(a, *args, **kwargs):
             partitions.append(np.size(a))
             return partition(a, *args, **kwargs)
 
-        monkeypatch.setattr(math, "fsum", counted_sum)
+        monkeypatch.setattr(evaluation, "_exact_total", counted_sum)
         monkeypatch.setattr(np, "partition", counted_partition)
         res = evaluation.scan_many(SWEEP_SPECS, grid=evaluation.DEFAULT_GRID)
         assert sums == []

@@ -106,8 +106,8 @@ def test_equals_fsum(xs):
 @given(st.lists(FINITE.map(abs), min_size=1, max_size=80))
 @example([MAX, MAX])
 @example([MAX / 2, MAX / 2, 2.0**970])
-def test_nonnegative_sum_overflows_exactly_when_fsum_does(xs):
-    # error maps are non-negative: a sum past the float range is inf
+def test_nonnegative_sum_past_the_float_range_is_inf(xs):
+    # error maps are non-negative: fsum's mean where it gives one, else inf
     assert _outcome(_mean, xs) == _outcome(_exact_mean, xs)
 
 
@@ -226,8 +226,8 @@ def _units_of(values):
 @example(([2.0**1020, 1.0, -2.0**1020], []))  # sigma past the float range
 def test_enclosures_of_pieces_give_the_sum(case):
     # a scan encloses each block's sum with one extraction level, adds the
-    # enclosures and rounds the map's sum from them, or takes fsum's when
-    # their ends round apart or a piece has no certificate
+    # enclosures and rounds the map's sum from them, or sums the map
+    # exactly when their ends round apart or a piece has no certificate
     xs, cuts = case
     x = np.array(xs)
     units, radius = 0, 0
@@ -258,13 +258,13 @@ def test_an_enclosure_holding_a_rounding_boundary_is_summed_exactly(tail, want, 
     x[:3 + len(tail)] = [1.0, 2.0**-54, 2.0**-54, *tail]
     units, radius = evaluation._one_level_sum(x, 1.0)
     assert radius > 0
-    calls, fsum = [], math.fsum
+    calls, exact_total = [], evaluation._exact_total
 
     def counted(*args):
         calls.append(args)
-        return fsum(*args)
+        return exact_total(*args)
 
-    monkeypatch.setattr(math, "fsum", counted)
+    monkeypatch.setattr(evaluation, "_exact_total", counted)
     st = _finish(x, units, radius)
     assert len(calls) == 1
     assert math.fsum(x.tolist()) == want
